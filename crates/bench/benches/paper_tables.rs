@@ -6,40 +6,45 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dream_core::EmtKind;
 use dream_dsp::AppKind;
-use dream_mem::BerModel;
 use dream_sim::energy_table::{area_table, run_energy_table, EnergyConfig};
-use dream_sim::fig2::{run_fig2, Fig2Config};
-use dream_sim::fig4::{run_fig4, Fig4Config};
+use dream_sim::scenario::{registry, CampaignRunner, Grid, OutcomeData, Scenario};
 use dream_sim::tradeoff::explore;
 use std::hint::black_box;
 
-fn smoke_fig2() -> Fig2Config {
-    Fig2Config {
+fn smoke_fig2() -> Scenario {
+    Scenario {
         window: 512,
         records: 2,
+        trials: 2,
         apps: vec![AppKind::Dwt, AppKind::CompressedSensing],
-        fault_trials: 2,
+        ..registry::get("fig2", false).expect("preset exists")
     }
 }
 
-fn smoke_fig4() -> Fig4Config {
-    Fig4Config {
+fn smoke_fig4() -> Scenario {
+    Scenario {
         window: 512,
-        runs: 3,
-        voltages: vec![0.55, 0.7, 0.9],
+        trials: 3,
+        grid: Grid::Voltage(vec![0.55, 0.7, 0.9]),
         apps: vec![AppKind::Dwt],
-        ber: BerModel::date16(),
-        emts: EmtKind::paper_set().to_vec(),
         seed: 1,
+        ..registry::get("fig4", false).expect("preset exists")
     }
+}
+
+fn run(sc: &Scenario) -> OutcomeData {
+    CampaignRunner::new(sc.clone())
+        .run_discarding()
+        .expect("preset variant runs")
+        .data
 }
 
 fn bench_fig2(c: &mut Criterion) {
     let mut group = c.benchmark_group("tables");
     group.sample_size(10);
     group.bench_function("fig2_smoke", |b| {
-        let cfg = smoke_fig2();
-        b.iter(|| black_box(run_fig2(black_box(&cfg))))
+        let sc = smoke_fig2();
+        b.iter(|| black_box(run(black_box(&sc))))
     });
     group.finish();
 }
@@ -48,8 +53,8 @@ fn bench_fig4(c: &mut Criterion) {
     let mut group = c.benchmark_group("tables");
     group.sample_size(10);
     group.bench_function("fig4_smoke", |b| {
-        let cfg = smoke_fig4();
-        b.iter(|| black_box(run_fig4(black_box(&cfg))))
+        let sc = smoke_fig4();
+        b.iter(|| black_box(run(black_box(&sc))))
     });
     group.finish();
 }
@@ -73,7 +78,9 @@ fn bench_energy(c: &mut Criterion) {
 fn bench_tradeoff(c: &mut Criterion) {
     let mut group = c.benchmark_group("tables");
     group.sample_size(10);
-    let fig4 = run_fig4(&smoke_fig4());
+    let OutcomeData::Fig4(fig4) = run(&smoke_fig4()) else {
+        unreachable!("voltage SNR sweeps yield Fig. 4 points")
+    };
     let energy = run_energy_table(&EnergyConfig {
         window: 512,
         voltages: vec![0.55, 0.7, 0.9],

@@ -7,10 +7,11 @@
 //!           [--window N] [--records N] [--trials N] [--runs N]
 //!           [--seed N] [--tolerance DB] [--emt none|parity|dream|ecc]
 //!           [--fault-model iid|burst[:LEN]|column[:WEIGHT]|bank-voltage[:AMP]]
+//! dream run energy --area
 //! dream spec <scenario|spec.json> [--smoke] [overrides…]
 //! dream serve [--addr HOST:PORT] [--store DIR] [--workers N|HOST:PORT,…] [--threads N]
 //!            [--queue N] [--timeout-ms N] [--deadline-ms N] [--retry-after SECS]
-//!            [--shards K] [--worker]
+//!            [--shards K --workers HOST:PORT,…] [--worker]
 //! dream fetch <scenario|spec.json> [--addr HOST:PORT] [--out FILE]
 //!            [--retries N] [--smoke] [overrides…]
 //! dream drain [--addr HOST:PORT] [--exit]
@@ -23,8 +24,11 @@
 //! complete; with a `DIR` sink they stream to
 //! `DIR/<scenario>.<csv|jsonl|txt>` and an aligned table still prints to
 //! stdout. `--sink` uses the same grammar as the campaign service's sink
-//! negotiation ([`dream_sim::scenario::SinkSpec::parse`]); the historical
-//! `--format`/`--out`/`--append` spellings remain as aliases.
+//! negotiation ([`dream_sim::scenario::SinkSpec::parse`]).
+//! `--threads`/`--batch` pin the campaign's
+//! [`dream_sim::exec::ExecConfig`] over the `DREAM_THREADS`/`DREAM_BATCH`
+//! environment. `run energy --area` prints the §VI-B codec area table
+//! instead of running the energy sweep.
 //!
 //! `spec` prints the fully resolved scenario JSON — the exact payload to
 //! `POST /campaigns` on a `dream serve` instance. `fetch` POSTs that
@@ -40,14 +44,11 @@
 //! the artifact store (`--store DIR`, default `results/store`). The
 //! process exits non-zero on any mismatch, so scripted equivalence checks
 //! (batched vs scalar runs, resumed vs clean artifacts) can gate on it.
-//!
-//! The historical per-figure binaries (`fig2`, `fig4`, `energy`,
-//! `tradeoff`, `ablation`) are shims over [`legacy_shim`], which maps
-//! their original flags onto the same path.
 
 use std::io::{self, Write};
 use std::path::PathBuf;
 
+use dream_sim::exec::ExecConfig;
 use dream_sim::report::{CsvSink, JsonlSink, TableSink};
 use dream_sim::scenario::{
     emt_from_token, registry, CampaignRunner, FaultModelSpec, Scenario, ScenarioOutcome, ShardPlan,
@@ -72,7 +73,11 @@ pub fn main_from_env() {
             let target = args
                 .positional(1)
                 .unwrap_or_else(|| panic!("usage: dream run <scenario|spec.json> [flags]"));
-            run(target, &args);
+            if target == "energy" && args.switch("area") {
+                print_area_table();
+            } else {
+                run(target, &args);
+            }
         }
         Some("spec") => {
             let target = args
@@ -224,11 +229,10 @@ fn drain(args: &Args) {
 /// worker pool, serving the HTTP API of [`dream_serve`].
 ///
 /// With `--shards K` (K > 1) the instance is a sharding coordinator:
-/// each campaign is partitioned with [`ShardPlan`] and fanned out —
-/// `--workers HOST:PORT,…` addresses already-running shard workers,
-/// otherwise K local worker processes are spawned from this executable.
-/// `--worker` runs the instance as a shard worker (direct execution,
-/// never re-sharding).
+/// each campaign is partitioned with [`ShardPlan`] and fanned out to the
+/// running shard workers at `--workers HOST:PORT,…` (a coordinator
+/// without them refuses to start). `--worker` runs the instance as a
+/// shard worker (direct execution, never re-sharding).
 fn serve(args: &Args) {
     let addr = args.value("addr").unwrap_or("127.0.0.1:7163").to_string();
     let store_dir = args
@@ -256,7 +260,7 @@ fn serve(args: &Args) {
         None => (defaults.workers, Vec::new()),
     };
     let shards = args.number("shards", defaults.shards).max(1);
-    let threads = crate::apply_threads(args);
+    let threads = crate::threads_flag(args).unwrap_or_else(|| ExecConfig::from_env().threads);
     let queue_depth = args.number("queue", defaults.queue_depth);
     let socket_timeout = std::time::Duration::from_millis(
         args.number("timeout-ms", defaults.read_timeout.as_millis() as usize) as u64,
@@ -281,14 +285,9 @@ fn serve(args: &Args) {
         shards,
         worker_addrs,
         worker: args.switch("worker"),
-        worker_exe: std::env::current_exe().ok(),
     };
     let server =
-        dream_serve::Server::bind(config).unwrap_or_else(|e| panic!("cannot bind {addr}: {e}"));
-    // Machine-readable line on stdout: a coordinator spawning local shard
-    // workers discovers each child's port (`--addr 127.0.0.1:0`) from it.
-    println!("dream serve: listening on {}", server.local_addr());
-    let _ = io::stdout().flush();
+        dream_serve::Server::bind(config).unwrap_or_else(|e| panic!("cannot start on {addr}: {e}"));
     eprintln!(
         "dream serve listening on http://{} (store {}, {workers} workers × {threads} threads, queue {queue_depth}, shards {shards})",
         server.local_addr(),
@@ -382,18 +381,6 @@ fn apply_overrides(sc: &mut Scenario, args: &Args) {
     if let Some(token) = args.value("fault-model") {
         sc.fault.model = parse_fault_model(token);
     }
-    // Legacy sink spellings first, so the consolidated `--sink` wins when
-    // both are given.
-    if let Some(f) = args.value("format") {
-        sc.sink.format = SinkFormat::from_token(f)
-            .unwrap_or_else(|| panic!("unknown --format {f:?} (table|csv|jsonl)"));
-    }
-    if let Some(o) = args.value("out") {
-        sc.sink.out = Some(o.to_string());
-    }
-    if args.switch("append") {
-        sc.sink.append = true;
-    }
     if let Some(token) = args.value("sink") {
         sc.sink = SinkSpec::parse(token).unwrap_or_else(|e| panic!("--sink: {e}"));
     }
@@ -441,8 +428,10 @@ fn parse_fault_model(token: &str) -> FaultModelSpec {
 pub fn run(target: &str, args: &Args) -> ScenarioOutcome {
     let mut sc = resolve(target, args.switch("smoke"));
     apply_overrides(&mut sc, args);
-    let threads = crate::apply_threads(args);
-    let batch = crate::apply_batch(args);
+    // Resolved once: environment, then the flags.
+    let env = ExecConfig::from_env();
+    let threads = crate::threads_flag(args).unwrap_or(env.threads);
+    let batch = crate::batch_flag(args).unwrap_or(env.batch);
     eprintln!(
         "dream run {}: kind={} axis={} points={} trials={} window={} fault-model={} threads={threads} batch={batch}",
         sc.name,
@@ -453,7 +442,10 @@ pub fn run(target: &str, args: &Args) -> ScenarioOutcome {
         sc.window,
         sc.fault.model.kind_token(),
     );
-    execute(&sc, args.switch("progress"))
+    let runner = runner_for(&sc, args.switch("progress"))
+        .threads(threads)
+        .batch(batch);
+    execute(&sc, &runner)
 }
 
 /// Builds the campaign runner every `dream run` goes through; `--progress`
@@ -489,13 +481,12 @@ fn runner_for(sc: &Scenario, progress: bool) -> CampaignRunner {
 
 /// Executes a scenario against its configured sink, echoing a table to
 /// stdout when rows stream to a file.
-fn execute(sc: &Scenario, progress: bool) -> ScenarioOutcome {
+fn execute(sc: &Scenario, runner: &CampaignRunner) -> ScenarioOutcome {
     // Validate before any artifact is opened: a bad flag combination
     // (e.g. `,append` without jsonl) must not truncate the very file a
     // resumed campaign was accumulating.
     sc.validate()
         .unwrap_or_else(|e| panic!("scenario {}: {e}", sc.name));
-    let runner = runner_for(sc, progress);
     let format = sc.sink.format;
     let outcome = match &sc.sink.out {
         None => {
@@ -566,31 +557,7 @@ fn execute(sc: &Scenario, progress: bool) -> ScenarioOutcome {
     outcome
 }
 
-/// Entry point of the historical per-figure binaries: maps their original
-/// flag vocabulary onto `dream run <preset> --format csv --out results/`,
-/// preserving the CSV artifact location and the stdout table.
-pub fn legacy_shim(preset: &str) {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let base = Args::parse(raw.iter().cloned());
-    // `energy --area` printed the codec area table only; keep that exit.
-    if preset == "energy" && base.switch("area") {
-        print_area_table();
-        return;
-    }
-    // Historical defaults: CSV artifact in results/, table on stdout.
-    if base.value("out").is_none() {
-        raw.extend([
-            "--out".to_string(),
-            crate::results_dir().display().to_string(),
-        ]);
-    }
-    if base.value("format").is_none() {
-        raw.extend(["--format".to_string(), "csv".to_string()]);
-    }
-    run(preset, &Args::parse(raw.into_iter()));
-}
-
-/// The §VI-B codec area table (the `energy --area` fast path).
+/// The §VI-B codec area table (`dream run energy --area`).
 fn print_area_table() {
     use dream_sim::energy_table::{area_table, ecc_vs_dream_area};
     let area_rows = area_table(&dream_core::EmtKind::paper_set());
@@ -654,7 +621,7 @@ mod tests {
         let mut sc = registry::get("fig4", true).unwrap();
         let args = Args::parse(
             [
-                "--runs", "2", "--window", "768", "--emt", "dream", "--format", "jsonl",
+                "--runs", "2", "--window", "768", "--emt", "dream", "--sink", "jsonl",
             ]
             .iter()
             .map(|s| s.to_string()),
@@ -673,11 +640,8 @@ mod tests {
             [
                 "--fault-model",
                 "burst:4",
-                "--format",
-                "jsonl",
-                "--out",
-                "results/x",
-                "--append",
+                "--sink",
+                "jsonl:results/x,append",
             ]
             .iter()
             .map(|s| s.to_string()),
@@ -689,23 +653,14 @@ mod tests {
     }
 
     #[test]
-    fn consolidated_sink_flag_wins_over_legacy_spellings() {
-        let mut sc = registry::get("fig4", true).unwrap();
-        let args = Args::parse(
-            [
-                "--format",
-                "csv",
-                "--out",
-                "legacy",
-                "--sink",
-                "jsonl:results/x,append",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        );
+    fn local_output_flags_never_leak_into_the_spec() {
+        // `fetch` keeps its own `--out FILE`; it must not become the
+        // posted spec's sink.
+        let mut sc = registry::get("fig2", true).unwrap();
+        let args = Args::parse(["--out", "rows.jsonl"].iter().map(|s| s.to_string()));
         apply_overrides(&mut sc, &args);
-        assert_eq!(sc.sink, SinkSpec::parse("jsonl:results/x,append").unwrap());
-        assert_eq!(sc.sink.token(), "jsonl:results/x,append");
+        assert_eq!(sc.sink, SinkSpec::default());
+        assert!(!sc.to_json().contains("rows.jsonl"));
     }
 
     #[test]

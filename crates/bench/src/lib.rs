@@ -1,4 +1,4 @@
-//! Shared plumbing for the `dream` CLI and the table/figure shims.
+//! Shared plumbing for the `dream` CLI and the `all` driver.
 //!
 //! The real content lives in `dream-sim`; this crate parses the tiny
 //! command-line vocabulary the binaries share ([`Args`]), hosts the
@@ -88,48 +88,46 @@ impl Args {
     }
 }
 
-/// Applies the `--threads N` flag every campaign binary shares: pins the
-/// executor's worker count (otherwise `DREAM_THREADS` / auto-detection
-/// decides) and returns the resolved count for banner lines.
-pub fn apply_threads(args: &Args) -> usize {
-    if let Some(n) = args.value("threads") {
-        let n: usize = n
-            .parse()
-            .unwrap_or_else(|_| panic!("--threads expects a positive integer, got {n:?}"));
-        dream_sim::exec::set_thread_override(Some(n));
+/// Parses the `--threads N` flag the campaign commands share: `Some(n)`
+/// pins the worker count, `None` leaves it to `DREAM_THREADS` /
+/// auto-detection ([`dream_sim::exec::ExecConfig::from_env`]).
+///
+/// # Panics
+///
+/// Panics with a readable message unless the value is a positive integer.
+pub fn threads_flag(args: &Args) -> Option<usize> {
+    let n = args.value("threads")?;
+    match n.parse() {
+        Ok(n) if n > 0 => Some(n),
+        _ => panic!("--threads expects a positive integer, got {n:?}"),
     }
-    dream_sim::exec::thread_count()
 }
 
-/// Applies the `--batch [on|off]` flag shared by the campaign binaries:
-/// bare `--batch` (or `on`/`true`/`1`) pins bit-sliced trial batching on,
-/// `off`/`false`/`0` pins it off; without the flag the `DREAM_BATCH`
-/// environment variable decides (batching defaults **on** — set
-/// `DREAM_BATCH=0` to opt out). Returns the resolved setting for banner
-/// lines. Batching changes scheduling only — output bytes are identical
-/// either way.
-pub fn apply_batch(args: &Args) -> bool {
-    if args.switch("batch") {
-        let enabled = match args.value("batch") {
-            None => true,
-            Some("on" | "true" | "1") => true,
-            Some("off" | "false" | "0") => false,
-            Some(other) => panic!("--batch expects on|off, got {other:?}"),
-        };
-        dream_sim::exec::set_batch_override(Some(enabled));
+/// Parses the `--batch [on|off]` flag: bare `--batch` (or
+/// `on`/`true`/`1`) pins bit-sliced trial batching on, `off`/`false`/`0`
+/// pins it off, and without the flag `DREAM_BATCH` decides (batching
+/// defaults **on**). Batching changes scheduling only — output bytes are
+/// identical either way.
+///
+/// # Panics
+///
+/// Panics with a readable message on any other value.
+pub fn batch_flag(args: &Args) -> Option<bool> {
+    if !args.switch("batch") {
+        return None;
     }
-    dream_sim::exec::batch_enabled()
+    Some(match args.value("batch") {
+        None | Some("on" | "true" | "1") => true,
+        Some("off" | "false" | "0") => false,
+        Some(other) => panic!("--batch expects on|off, got {other:?}"),
+    })
 }
 
-/// The workspace root (where `BENCH_campaigns.json` and `results/` live).
-pub fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// Directory where the binaries drop their CSV artifacts (`results/`,
-/// created on demand).
+/// Directory where `all` drops its CSV artifacts and `dream serve` keeps
+/// its default store (`results/` at the workspace root, created on
+/// demand).
 pub fn results_dir() -> PathBuf {
-    let dir = workspace_root().join("results");
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
     std::fs::create_dir_all(&dir).expect("can create results directory");
     dir
 }
@@ -149,6 +147,28 @@ mod tests {
         assert!(a.switch("area"));
         assert_eq!(a.value("emt"), Some("dream"));
         assert_eq!(a.number("missing", 7), 7);
+    }
+
+    #[test]
+    fn exec_flags_parse_without_touching_any_global() {
+        let a = Args::parse(
+            ["--threads", "3", "--batch", "off"]
+                .iter()
+                .map(|s| s.to_string()),
+        );
+        assert_eq!(threads_flag(&a), Some(3));
+        assert_eq!(batch_flag(&a), Some(false));
+        let bare = Args::parse(["--batch"].iter().map(|s| s.to_string()));
+        assert_eq!(threads_flag(&bare), None);
+        assert_eq!(batch_flag(&bare), Some(true));
+        assert_eq!(batch_flag(&Args::default()), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive integer")]
+    fn zero_threads_flag_panics() {
+        let a = Args::parse(["--threads", "0"].iter().map(|s| s.to_string()));
+        let _ = threads_flag(&a);
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //!   poller), worker pool, campaign registry, admission control,
 //!   drain/shutdown, shard coordinator/worker modes, and route handlers;
 //! * [`client`] — the retrying fetch client (backoff + jitter,
-//!   `Retry-After` honoring, skip-rows resume of interrupted streams);
-//! * [`chaos`] — a fault-injecting TCP proxy for the e2e chaos suite.
+//!   `Retry-After` honoring, skip-rows resume of interrupted streams).
 //!
 //! A coordinator (`ServeConfig::shards > 1`) partitions each campaign
 //! with `dream_sim::scenario::ShardPlan`, fans the shard specs out to
@@ -38,14 +37,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod client;
 pub mod hash;
 pub mod http;
 pub mod server;
 pub mod store;
 
-pub use chaos::{ChaosProxy, Fault};
 pub use client::{fetch_campaign, fetch_rows, FetchOutcome, RetryPolicy};
 pub use server::{ServeConfig, Server};
 pub use store::{campaign_id, canonical_spec_json, spec_hash, Integrity, Store};

@@ -32,13 +32,12 @@
 //!
 //! With [`ServeConfig::shards`] > 1 a coordinator partitions each
 //! submitted campaign with [`ShardPlan`] and fans the derived shard specs
-//! out over worker processes — spawned locally from
-//! [`ServeConfig::worker_exe`] or addressed via
-//! [`ServeConfig::worker_addrs`] — by POSTing them to each worker's
-//! `/shards` endpoint through the retrying [`crate::client`]. Every shard
-//! is its own content-addressed sub-artifact in the coordinator's store,
-//! so a dead worker costs exactly one shard re-fetch (the worker side
-//! replays from *its* store without re-running trials). Shard rows are
+//! out over the worker servers at [`ServeConfig::worker_addrs`] by
+//! POSTing them to each worker's `/shards` endpoint through the retrying
+//! [`crate::client`]. Every shard is its own content-addressed
+//! sub-artifact in the coordinator's store, so a dead worker costs
+//! exactly one shard re-fetch (the worker side replays from *its* store
+//! without re-running trials). Shard rows are
 //! reassembled into the parent artifact strictly in plan order, which
 //! makes the reassembled bytes — and therefore the parent's store id and
 //! `X-Dream-Cache` semantics — identical to an unsharded run.
@@ -69,14 +68,12 @@
 //! `Retry-After` the CLI's retry layer honors. `POST /admin/drain` stops
 //! admissions (`503` + `Retry-After`), fires every in-flight campaign's
 //! [`CancelToken`], and leaves the interrupted artifacts resumable on
-//! disk; `POST /admin/shutdown` drains and then exits [`Server::run`],
-//! which also reaps any locally spawned worker processes.
+//! disk; `POST /admin/shutdown` drains and then exits [`Server::run`].
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
@@ -137,16 +134,12 @@ pub struct ServeConfig {
     pub retry_after: Duration,
     /// Shards to partition each campaign into (1 = serial, no fan-out).
     pub shards: usize,
-    /// Addresses of already-running shard workers (`host:port`). When
-    /// empty and `shards > 1`, the coordinator spawns local worker
-    /// processes from [`ServeConfig::worker_exe`] instead.
+    /// Addresses of running shard workers (`host:port`); required when
+    /// `shards > 1`.
     pub worker_addrs: Vec<String>,
     /// Run as a shard worker: every submission executes directly, never
     /// fanning out again.
     pub worker: bool,
-    /// Binary to spawn local shard workers from (the CLI passes its own
-    /// executable). `None` disables local spawning.
-    pub worker_exe: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -164,7 +157,6 @@ impl Default for ServeConfig {
             shards: 1,
             worker_addrs: Vec::new(),
             worker: false,
-            worker_exe: None,
         }
     }
 }
@@ -330,9 +322,6 @@ struct State {
     /// and worker-mode servers).
     remote: Vec<WorkerSlot>,
     shard_counters: ShardCounters,
-    /// Locally spawned worker processes, reaped when [`Server::run`]
-    /// exits after a shutdown.
-    children: Mutex<Vec<Child>>,
 }
 
 impl State {
@@ -377,9 +366,9 @@ impl State {
 }
 
 /// The campaign service. [`Server::bind`] opens the listener and store
-/// and spawns the worker pool, handler pool, follower poller, and (for a
-/// sharding coordinator) local worker processes; [`Server::run`] accepts
-/// connections until a shutdown is requested.
+/// and spawns the worker pool and follower poller; [`Server::run`] adds
+/// the handler pool and accepts connections until a shutdown is
+/// requested.
 pub struct Server {
     listener: TcpListener,
     state: Arc<State>,
@@ -390,15 +379,25 @@ impl Server {
     /// artifacts so replays survive restarts, and quarantining any whose
     /// completion marker fails verification ([`Store::verify`]) instead
     /// of serving bad bytes — and spawns `workers` campaign workers plus
-    /// the follower poller. A coordinator (`shards > 1`) also resolves
-    /// its shard-worker topology: explicit [`ServeConfig::worker_addrs`]
-    /// win; otherwise one local worker process per shard is spawned from
-    /// [`ServeConfig::worker_exe`].
+    /// the follower poller. A coordinator (`shards > 1`) dispatches to
+    /// [`ServeConfig::worker_addrs`].
     ///
     /// # Errors
     ///
-    /// Propagates bind, store-open, and worker-spawn failures.
+    /// [`io::ErrorKind::InvalidInput`] for a coordinator without worker
+    /// addresses; otherwise propagates bind and store-open failures.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
+        let shards = if config.worker {
+            1
+        } else {
+            config.shards.max(1)
+        };
+        if shards > 1 && config.worker_addrs.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("--shards {shards} needs shard workers: pass --workers HOST:PORT,…"),
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let bound_addr = listener.local_addr()?;
         let store = Store::open(&config.store_dir)?;
@@ -431,36 +430,18 @@ impl Server {
             }
         }
 
-        let shards = if config.worker {
-            1
-        } else {
-            config.shards.max(1)
-        };
-        let mut children = Vec::new();
         let remote: Vec<WorkerSlot> = if shards > 1 {
-            let addrs = if !config.worker_addrs.is_empty() {
-                config.worker_addrs.clone()
-            } else if let Some(exe) = &config.worker_exe {
-                spawn_local_workers(exe, &config, shards, &mut children)?
-            } else {
-                Vec::new()
-            };
-            addrs
-                .into_iter()
+            config
+                .worker_addrs
+                .iter()
                 .map(|addr| WorkerSlot {
-                    addr,
+                    addr: addr.clone(),
                     alive: AtomicBool::new(true),
                 })
                 .collect()
         } else {
             Vec::new()
         };
-        if shards > 1 && remote.is_empty() {
-            eprintln!(
-                "dream serve: --shards {shards} requested but no shard workers available; \
-                 running campaigns unsharded"
-            );
-        }
 
         let (jobs, job_rx) = mpsc::channel::<Job>();
         let (followers, follower_rx) = mpsc::channel::<Follower>();
@@ -492,7 +473,6 @@ impl Server {
             shards,
             remote,
             shard_counters: ShardCounters::default(),
-            children: Mutex::new(children),
         });
 
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -515,8 +495,7 @@ impl Server {
     }
 
     /// Accepts connections into the handler pool until
-    /// `POST /admin/shutdown` completes a drain, then reaps any locally
-    /// spawned shard workers.
+    /// `POST /admin/shutdown` completes a drain.
     ///
     /// # Errors
     ///
@@ -538,12 +517,6 @@ impl Server {
                 break;
             }
         }
-        // Reap locally spawned shard workers — their stores keep every
-        // completed shard, so nothing is lost.
-        for mut child in self.state.children.lock().expect("children lock").drain(..) {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
         Ok(())
     }
 
@@ -556,64 +529,6 @@ impl Server {
         });
         addr
     }
-}
-
-/// Spawns one local shard-worker process per shard and returns their
-/// bound addresses, discovered from the `listening on HOST:PORT` line
-/// each worker prints on stdout.
-fn spawn_local_workers(
-    exe: &PathBuf,
-    config: &ServeConfig,
-    shards: usize,
-    children: &mut Vec<Child>,
-) -> io::Result<Vec<String>> {
-    let mut addrs = Vec::with_capacity(shards);
-    for i in 0..shards {
-        let store = config.store_dir.join("workers").join(format!("w{i}"));
-        let mut child = Command::new(exe)
-            .arg("serve")
-            .arg("--worker")
-            .arg("--addr")
-            .arg("127.0.0.1:0")
-            .arg("--store")
-            .arg(&store)
-            .arg("--threads")
-            .arg(config.threads.max(1).to_string())
-            .arg("--workers")
-            .arg(config.workers.max(1).to_string())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()?;
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut reader = BufReader::new(stdout);
-        let addr = loop {
-            let mut line = String::new();
-            if reader.read_line(&mut line)? == 0 {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    format!("shard worker {i} exited before announcing its address"),
-                ));
-            }
-            if let Some(addr) = line
-                .split("listening on ")
-                .nth(1)
-                .and_then(|rest| rest.split_whitespace().next())
-            {
-                break addr.to_string();
-            }
-        };
-        // Keep the pipe drained so a chatty worker can never block on a
-        // full stdout buffer.
-        thread::spawn(move || {
-            let mut sink = io::sink();
-            let _ = io::copy(&mut reader, &mut sink);
-        });
-        children.push(child);
-        addrs.push(addr);
-    }
-    Ok(addrs)
 }
 
 fn handler_loop(state: &Arc<State>, conns: &Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
@@ -672,7 +587,7 @@ fn worker_loop(state: &Arc<State>, jobs: &Arc<Mutex<mpsc::Receiver<Job>>>) {
 /// artifact as a resumable prefix: rows already appended stay, no marker
 /// is written.
 fn execute_campaign(state: &Arc<State>, job: &Job, token: &CancelToken) -> Result<(), EngineError> {
-    if !job.direct && state.shards > 1 && !state.remote.is_empty() {
+    if !job.direct && state.shards > 1 {
         let plan = ShardPlan::new(&job.spec, state.shards)?;
         if !plan.is_trivial() {
             return execute_sharded(state, job, token, &plan);

@@ -19,15 +19,18 @@
 //! Aggregations stay bit-identical because floating-point reduction
 //! happens *after* the merge, in trial order.
 //!
-//! # Thread count
+//! # Execution settings
 //!
-//! Resolution order: the scoped [`with_ambient_threads`] binding (used by
-//! `CampaignRunner::threads`, so concurrent campaigns on different driver
-//! threads can each pin their own count) → explicit [`set_thread_override`]
-//! (used by the bench binaries' `--threads` flag and the determinism
-//! tests) → the `DREAM_THREADS` environment variable →
-//! `available_parallelism()`. A count of 1 reproduces the historical
-//! serial path exactly, worker scratch included.
+//! Three knobs — worker count, bit-sliced batching, and the batched
+//! executor's bail-out fraction — travel together as one [`ExecConfig`].
+//! It is resolved once: [`ExecConfig::from_env`] reads `DREAM_THREADS`
+//! and `DREAM_BATCH`, a CLI flag may pin a field, and
+//! `CampaignRunner::{threads, batch, bailout}` pin the rest. The runner
+//! binds the value to its driving thread for the duration of one
+//! campaign, so concurrent campaigns on different threads never see each
+//! other's settings; [`config`] reads the binding (or the environment when
+//! none is set). A thread count of 1 reproduces the historical serial
+//! path exactly, worker scratch included.
 //!
 //! # Cancellation
 //!
@@ -49,57 +52,94 @@ pub const THREADS_ENV: &str = "DREAM_THREADS";
 /// to enable, `0`/`false`/`off` to disable).
 pub const BATCH_ENV: &str = "DREAM_BATCH";
 
-/// Environment variable tuning the batched executor's adaptive bail-out
-/// fraction (`0.0`..=`1.0`): a batch abandons its plane passes once the
-/// alive-lane population drops strictly below this fraction of the group,
-/// finishing the stragglers on the scalar replay path. `0` disables
-/// bail-out; `1` bails on the first eviction.
-pub const BAILOUT_ENV: &str = "DREAM_BATCH_BAILOUT";
-
 /// Default bail-out fraction: below a quarter of the group, the plane
 /// passes cost more than scalar replays of the survivors.
 pub const DEFAULT_BAILOUT: f64 = 0.25;
 
-/// Process-wide thread-count override (0 = none). Takes precedence over
-/// [`THREADS_ENV`] so binaries and tests can pin the count without
-/// mutating the process environment.
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide batching override (0 = none, 1 = off, 2 = on). Same
-/// precedence role as the thread override, for [`BATCH_ENV`].
-static BATCH_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sentinel bit pattern marking the bail-out override as unset (a NaN, so
-/// it can never collide with a valid fraction's bits).
-const BAILOUT_UNSET: u64 = u64::MAX;
-
-/// Process-wide bail-out-fraction override, stored as `f64` bits
-/// ([`BAILOUT_UNSET`] = none). Same precedence role as the others, for
-/// [`BAILOUT_ENV`].
-static BAILOUT_OVERRIDE: std::sync::atomic::AtomicU64 =
-    std::sync::atomic::AtomicU64::new(BAILOUT_UNSET);
-
-thread_local! {
-    /// Driver-thread-scoped worker count (0 = unset). Outranks the global
-    /// override: a server worker pinning its own campaign must not race
-    /// other campaigns through a process-wide atomic.
-    static AMBIENT_THREADS: Cell<usize> = const { Cell::new(0) };
-
-    /// Driver-thread-scoped batching toggle (0 = unset, 1 = off, 2 = on),
-    /// mirroring [`AMBIENT_THREADS`].
-    static AMBIENT_BATCH: Cell<usize> = const { Cell::new(0) };
-
-    /// Driver-thread-scoped bail-out fraction (`None` = unset), mirroring
-    /// [`AMBIENT_BATCH`].
-    static AMBIENT_BAILOUT: Cell<Option<f64>> = const { Cell::new(None) };
+/// How one campaign executes. None of the fields can change an output
+/// byte: they pick the schedule, never the values.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ExecConfig {
+    /// Worker threads [`run_trials`] fans out to (at least 1).
+    pub threads: usize,
+    /// Whether the engine runs its bit-sliced batched paths, which are
+    /// bit-identical to the scalar paths by the divergence rule
+    /// (`dream_core::TrialBatch`).
+    pub batch: bool,
+    /// Adaptive bail-out fraction of the batched executor (`0.0..=1.0`):
+    /// a batch abandons its plane passes once the alive-lane population
+    /// drops strictly below this fraction of the group, finishing the
+    /// stragglers on the scalar replay path. `0` never bails; `1` bails
+    /// on the first eviction.
+    pub bailout: f64,
 }
 
-/// Panics unless `fraction` is a valid bail-out fraction.
-fn check_bailout(fraction: f64) {
-    assert!(
-        (0.0..=1.0).contains(&fraction),
-        "bail-out fraction must be in 0.0..=1.0, got {fraction}"
-    );
+impl ExecConfig {
+    /// The settings the environment asks for: [`THREADS_ENV`] (default:
+    /// available parallelism), [`BATCH_ENV`] (default **on**), and
+    /// [`DEFAULT_BAILOUT`]. This is the only place the crate reads the
+    /// environment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`THREADS_ENV`] is not a positive integer or [`BATCH_ENV`]
+    /// is not one of `1`/`true`/`on`/`0`/`false`/`off` — a typo silently
+    /// running another schedule would make benchmark A/Bs lie.
+    pub fn from_env() -> ExecConfig {
+        let threads = match std::env::var(THREADS_ENV) {
+            Ok(raw) => {
+                let n: usize = raw.trim().parse().unwrap_or_else(|_| {
+                    panic!("{THREADS_ENV} must be a positive integer, got {raw:?}")
+                });
+                assert!(n > 0, "{THREADS_ENV} must be at least 1");
+                n
+            }
+            Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        };
+        let batch = match std::env::var(BATCH_ENV) {
+            Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
+                "1" | "true" | "on" => true,
+                "0" | "false" | "off" => false,
+                _ => panic!("{BATCH_ENV} must be one of 1/true/on/0/false/off, got {raw:?}"),
+            },
+            Err(_) => true,
+        };
+        ExecConfig {
+            threads,
+            batch,
+            bailout: DEFAULT_BAILOUT,
+        }
+    }
+}
+
+thread_local! {
+    /// The settings of the campaign this thread is driving, if any.
+    static BOUND: Cell<Option<ExecConfig>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with `config` bound to this thread (the campaign it drives);
+/// the previous binding is restored on exit, panic included.
+pub(crate) fn with_config<R>(config: ExecConfig, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<ExecConfig>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            BOUND.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(BOUND.with(|c| c.replace(Some(config))));
+    f()
+}
+
+/// The settings of the campaign this thread is driving, or
+/// [`ExecConfig::from_env`] outside any campaign.
+pub fn config() -> ExecConfig {
+    BOUND.with(Cell::get).unwrap_or_else(ExecConfig::from_env)
+}
+
+/// The bail-out fraction campaigns on this thread use
+/// ([`config`]`().bailout`).
+pub fn batch_bailout() -> f64 {
+    config().bailout
 }
 
 /// A shared flag requesting cooperative cancellation of a campaign.
@@ -141,219 +181,6 @@ impl fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
-/// Runs `f` with the thread count pinned to `threads` on this thread (and
-/// every campaign it drives); `None` inherits the surrounding resolution.
-/// The previous binding is restored on exit, panic included.
-pub fn with_ambient_threads<R>(threads: Option<usize>, f: impl FnOnce() -> R) -> R {
-    if let Some(n) = threads {
-        assert!(n > 0, "ambient thread count must be at least 1");
-    }
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            AMBIENT_THREADS.with(|c| c.set(self.0));
-        }
-    }
-    let prev = AMBIENT_THREADS.with(|c| {
-        let prev = c.get();
-        if let Some(n) = threads {
-            c.set(n);
-        }
-        prev
-    });
-    let _restore = Restore(prev);
-    f()
-}
-
-/// Pins the worker count for all subsequent campaigns (`None` restores
-/// the environment/auto-detect resolution).
-///
-/// # Panics
-///
-/// Panics if `Some(0)` is passed — zero workers cannot run anything.
-pub fn set_thread_override(threads: Option<usize>) {
-    if let Some(n) = threads {
-        assert!(n > 0, "thread override must be at least 1");
-        THREAD_OVERRIDE.store(n, Ordering::SeqCst);
-    } else {
-        THREAD_OVERRIDE.store(0, Ordering::SeqCst);
-    }
-}
-
-/// Runs `f` with trial batching pinned on or off on this thread (and every
-/// campaign it drives); `None` inherits the surrounding resolution. The
-/// previous binding is restored on exit, panic included.
-pub fn with_ambient_batch<R>(batch: Option<bool>, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            AMBIENT_BATCH.with(|c| c.set(self.0));
-        }
-    }
-    let prev = AMBIENT_BATCH.with(|c| {
-        let prev = c.get();
-        if let Some(on) = batch {
-            c.set(if on { 2 } else { 1 });
-        }
-        prev
-    });
-    let _restore = Restore(prev);
-    f()
-}
-
-/// Pins trial batching on or off for all subsequent campaigns (`None`
-/// restores the environment resolution).
-pub fn set_batch_override(batch: Option<bool>) {
-    let encoded = match batch {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    BATCH_OVERRIDE.store(encoded, Ordering::SeqCst);
-}
-
-/// Runs `f` with the batched executor's bail-out fraction pinned on this
-/// thread (and every campaign it drives); `None` inherits the surrounding
-/// resolution. The previous binding is restored on exit, panic included.
-///
-/// # Panics
-///
-/// Panics if the fraction is outside `0.0..=1.0`.
-pub fn with_ambient_bailout<R>(fraction: Option<f64>, f: impl FnOnce() -> R) -> R {
-    if let Some(frac) = fraction {
-        check_bailout(frac);
-    }
-    struct Restore(Option<f64>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            AMBIENT_BAILOUT.with(|c| c.set(self.0));
-        }
-    }
-    let prev = AMBIENT_BAILOUT.with(|c| {
-        let prev = c.get();
-        if fraction.is_some() {
-            c.set(fraction);
-        }
-        prev
-    });
-    let _restore = Restore(prev);
-    f()
-}
-
-/// Pins the bail-out fraction for all subsequent campaigns (`None`
-/// restores the environment resolution).
-///
-/// # Panics
-///
-/// Panics if the fraction is outside `0.0..=1.0`.
-pub fn set_bailout_override(fraction: Option<f64>) {
-    let encoded = match fraction {
-        None => BAILOUT_UNSET,
-        Some(frac) => {
-            check_bailout(frac);
-            frac.to_bits()
-        }
-    };
-    BAILOUT_OVERRIDE.store(encoded, Ordering::SeqCst);
-}
-
-/// Whether campaigns run right now batch their trials (ambient scope →
-/// override → [`BATCH_ENV`] → **on**).
-///
-/// Batching defaults on: with clean-trace derivation and per-lane map
-/// reuse it beats the scalar path on every `perf_baseline` preset that
-/// exercises it (the acceptance bar was ≥ 0.95×; set `DREAM_BATCH=0`
-/// to opt out).
-///
-/// Batching is an execution strategy, not a model change: the engine's
-/// batched paths are bit-identical to the scalar paths by the divergence
-/// rule (`dream_core::TrialBatch`), so this toggle may only affect speed.
-///
-/// # Panics
-///
-/// Panics if [`BATCH_ENV`] is set to something other than
-/// `1`/`true`/`on`/`0`/`false`/`off` — a typo silently running the other
-/// path would make benchmark A/Bs lie.
-pub fn batch_enabled() -> bool {
-    let ambient = AMBIENT_BATCH.with(Cell::get);
-    if ambient > 0 {
-        return ambient == 2;
-    }
-    let forced = BATCH_OVERRIDE.load(Ordering::SeqCst);
-    if forced > 0 {
-        return forced == 2;
-    }
-    if let Ok(raw) = std::env::var(BATCH_ENV) {
-        return match raw.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" => true,
-            "0" | "false" | "off" => false,
-            _ => panic!("{BATCH_ENV} must be one of 1/true/on/0/false/off, got {raw:?}"),
-        };
-    }
-    true
-}
-
-/// The adaptive bail-out fraction batched campaigns use right now
-/// (ambient scope → override → [`BAILOUT_ENV`] → [`DEFAULT_BAILOUT`]).
-///
-/// Like batching itself, the bail-out is an execution strategy: bailed
-/// lanes are replayed on the scalar path, so the fraction may only affect
-/// speed, never output.
-///
-/// # Panics
-///
-/// Panics if [`BAILOUT_ENV`] is set to anything but a number in
-/// `0.0..=1.0` — a typo silently running a different bail-out policy
-/// would make benchmark A/Bs lie.
-pub fn batch_bailout() -> f64 {
-    if let Some(frac) = AMBIENT_BAILOUT.with(Cell::get) {
-        return frac;
-    }
-    let forced = BAILOUT_OVERRIDE.load(Ordering::SeqCst);
-    if forced != BAILOUT_UNSET {
-        return f64::from_bits(forced);
-    }
-    if let Ok(raw) = std::env::var(BAILOUT_ENV) {
-        let frac: f64 = raw
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{BAILOUT_ENV} must be a number in 0.0..=1.0, got {raw:?}"));
-        assert!(
-            (0.0..=1.0).contains(&frac),
-            "{BAILOUT_ENV} must be in 0.0..=1.0, got {raw:?}"
-        );
-        return frac;
-    }
-    DEFAULT_BAILOUT
-}
-
-/// The worker count campaigns will use right now (ambient scope →
-/// override → env → available parallelism; at least 1).
-///
-/// # Panics
-///
-/// Panics if [`THREADS_ENV`] is set to something other than a positive
-/// integer — a typo silently falling back to all cores would be worse.
-pub fn thread_count() -> usize {
-    let ambient = AMBIENT_THREADS.with(Cell::get);
-    if ambient > 0 {
-        return ambient;
-    }
-    let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
-    if forced > 0 {
-        return forced;
-    }
-    if let Ok(raw) = std::env::var(THREADS_ENV) {
-        let n: usize = raw
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("{THREADS_ENV} must be a positive integer, got {raw:?}"));
-        assert!(n > 0, "{THREADS_ENV} must be at least 1");
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Runs every trial descriptor through `run`, in parallel, returning the
 /// results **in trial order**.
 ///
@@ -364,7 +191,8 @@ pub fn thread_count() -> usize {
 /// costs, while the order-restoring merge keeps the output independent of
 /// the schedule.
 ///
-/// With a resolved thread count of 1 (or at most one trial) everything
+/// The worker count is [`config`]`().threads` on the calling thread. With
+/// a count of 1 (or at most one trial) everything
 /// runs inline on the caller's thread with a single arena — the exact
 /// historical serial path.
 ///
@@ -407,7 +235,7 @@ where
     R: Send,
 {
     let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-    let workers = thread_count().min(trials.len().max(1));
+    let workers = config().threads.min(trials.len().max(1));
     if workers <= 1 {
         let mut arena = scratch();
         let mut out = Vec::with_capacity(trials.len());
@@ -464,17 +292,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
-    /// Serializes tests that pin the global thread override.
-    static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-    fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-        set_thread_override(Some(n));
-        let r = f();
-        set_thread_override(None);
-        r
+    fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        with_config(
+            ExecConfig {
+                threads,
+                ..ExecConfig::from_env()
+            },
+            f,
+        )
     }
 
     #[test]
@@ -522,81 +348,29 @@ mod tests {
     }
 
     #[test]
-    fn override_beats_environment() {
-        let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-        set_thread_override(Some(3));
-        assert_eq!(thread_count(), 3);
-        set_thread_override(None);
-        assert!(thread_count() >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_override_rejected() {
-        set_thread_override(Some(0));
-    }
-
-    #[test]
-    fn ambient_threads_outrank_the_global_override() {
-        let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-        set_thread_override(Some(2));
-        assert_eq!(thread_count(), 2);
-        with_ambient_threads(Some(5), || {
-            assert_eq!(thread_count(), 5);
-            // None inherits the surrounding binding instead of clearing it.
-            with_ambient_threads(None, || assert_eq!(thread_count(), 5));
+    fn bindings_nest_and_restore() {
+        let outer = ExecConfig {
+            threads: 2,
+            batch: false,
+            bailout: 0.5,
+        };
+        let inner = ExecConfig {
+            threads: 5,
+            batch: true,
+            bailout: 1.0,
+        };
+        with_config(outer, || {
+            assert_eq!(config(), outer);
+            with_config(inner, || {
+                assert_eq!(config(), inner);
+                assert_eq!(batch_bailout(), 1.0);
+            });
+            assert_eq!(config(), outer, "binding must be restored on exit");
         });
-        assert_eq!(thread_count(), 2, "binding must be restored on exit");
-        set_thread_override(None);
-    }
-
-    #[test]
-    fn batch_resolution_mirrors_thread_resolution() {
-        let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-        // Default (no ambient, no override, env unset in the test
-        // harness): batching is ON.
-        assert!(batch_enabled());
-        set_batch_override(Some(true));
-        assert!(batch_enabled());
-        // Ambient outranks the override, in both directions.
-        with_ambient_batch(Some(false), || {
-            assert!(!batch_enabled());
-            // None inherits the surrounding binding instead of clearing it.
-            with_ambient_batch(None, || assert!(!batch_enabled()));
-            with_ambient_batch(Some(true), || assert!(batch_enabled()));
-        });
-        assert!(batch_enabled(), "binding must be restored on exit");
-        set_batch_override(Some(false));
-        assert!(!batch_enabled());
-        set_batch_override(None);
-        assert!(
-            batch_enabled(),
-            "clearing the override restores the default"
-        );
-    }
-
-    #[test]
-    fn bailout_resolution_mirrors_batch_resolution() {
-        let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-        // Default (no ambient, no override, env unset in the test harness).
-        assert_eq!(batch_bailout(), DEFAULT_BAILOUT);
-        set_bailout_override(Some(0.5));
-        assert_eq!(batch_bailout(), 0.5);
-        // Ambient outranks the override; None inherits.
-        with_ambient_bailout(Some(0.0), || {
-            assert_eq!(batch_bailout(), 0.0);
-            with_ambient_bailout(None, || assert_eq!(batch_bailout(), 0.0));
-            with_ambient_bailout(Some(1.0), || assert_eq!(batch_bailout(), 1.0));
-        });
-        assert_eq!(batch_bailout(), 0.5, "binding must be restored on exit");
-        set_bailout_override(None);
-        assert_eq!(batch_bailout(), DEFAULT_BAILOUT);
-    }
-
-    #[test]
-    #[should_panic(expected = "bail-out fraction must be in 0.0..=1.0")]
-    fn out_of_range_bailout_override_rejected() {
-        set_bailout_override(Some(2.0));
+        // Unbound, the environment decides; the test harness sets no
+        // bail-out, so the default applies.
+        assert_eq!(config().bailout, DEFAULT_BAILOUT);
+        assert!(config().threads >= 1);
     }
 
     #[test]

@@ -1,131 +1,38 @@
 //! Experiment E1: Fig. 2 — SNR versus the bit position of an injected
 //! permanent error.
 //!
-//! Since the scenario engine landed this module is a thin preset
-//! constructor ([`Fig2Config::to_scenario`]) plus row-typed
-//! post-processing ([`Fig2Row`], [`cs_tolerance`]) over the engine's
-//! shared [`crate::scenario::ScenarioOutcome`]; the sweep itself executes
-//! in [`crate::scenario::engine`].
+//! The sweep is the registry's `fig2` preset, executed by
+//! [`crate::scenario::engine`]: "we successively set to '1' and '0' each
+//! bit located on the positions 0 to 15 of the 16-bits data buffers"
+//! (§III), with no EMT, measuring the output SNR against the
+//! double-precision reference. Each injection is a **single stuck-at
+//! cell** at a pseudo-random buffer word; forcing bit `b` of *every* word
+//! would swamp even LSB positions with error power and is inconsistent
+//! with the tolerances the paper reads off the figure. This module holds
+//! the row-typed post-processing of the resulting
+//! [`InjectionRow`]s.
 
+use dream_core::EmtKind;
 use dream_dsp::AppKind;
-use dream_ecg::Database;
 use dream_mem::StuckAt;
 
-use crate::scenario::{
-    registry, CampaignRunner, FaultSpec, Grid, Kind, OutcomeData, Scenario, SinkSpec,
-};
-
-/// Configuration of the Fig. 2 characterization.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Fig2Config {
-    /// Input window length in samples.
-    pub window: usize,
-    /// Number of ECG records averaged per point ("different ECG signals
-    /// with different pathologies", §III).
-    pub records: usize,
-    /// Applications to characterize.
-    pub apps: Vec<AppKind>,
-    /// Fault locations (buffer words) tried per record; each point averages
-    /// `records × fault_trials` runs.
-    pub fault_trials: usize,
-}
-
-impl Default for Fig2Config {
-    fn default() -> Self {
-        Fig2Config {
-            window: 1024,
-            records: Database::SUITE_SIZE,
-            apps: AppKind::all().to_vec(),
-            fault_trials: 4,
-        }
-    }
-}
-
-impl Fig2Config {
-    /// Compiles this configuration to its scenario spec — the same
-    /// campaign `dream run fig2` executes, with the historical seed and
-    /// the unprotected-memory technique set.
-    pub fn to_scenario(&self) -> Scenario {
-        Scenario {
-            name: "fig2".into(),
-            title: String::new(),
-            kind: Kind::SnrSweep,
-            window: self.window,
-            records: self.records,
-            trials: self.fault_trials,
-            apps: self.apps.clone(),
-            emts: vec![dream_core::EmtKind::None],
-            grid: Grid::BitPosition((0..16).collect()),
-            fault: FaultSpec::date16(),
-            fixed_voltage: dream_mem::BerModel::NOMINAL_VOLTAGE,
-            noise_scale: 1.0,
-            scrambler_key: None,
-            tolerance_db: None,
-            ber_slopes: Vec::new(),
-            seed: registry::FIG2_SEED,
-            sink: SinkSpec::default(),
-            point_offset: 0,
-        }
-    }
-}
-
-/// One point of Fig. 2.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Fig2Row {
-    /// Application under test.
-    pub app: AppKind,
-    /// Polarity of the injected stuck-at fault.
-    pub stuck: StuckAt,
-    /// Bit position (0 = LSB … 15 = MSB) of the injected stuck-at cell.
-    pub bit: u32,
-    /// Output SNR (Formula 1) in dB, averaged over the record suite.
-    pub snr_db: f64,
-}
-
-/// Reproduces Fig. 2: "we successively set to '1' and '0' each bit located
-/// on the positions 0 to 15 of the 16-bits data buffers" (§III), with no
-/// EMT, measuring the output SNR against the double-precision reference.
-///
-/// Each injection is a **single stuck-at cell**: one buffer word's bit `b`
-/// is forced, the application runs, and the SNR is averaged over records
-/// and fault locations. (Forcing bit `b` of *every* word simultaneously
-/// would swamp even LSB positions with error power and is inconsistent
-/// with the tolerances the paper reads off the figure — CS passing 35 dB
-/// with faults up to bit 10 requires the single-cell reading.)
-///
-/// # Panics
-///
-/// Panics if the configuration fails scenario validation (empty app list,
-/// window below 256).
-pub fn run_fig2(cfg: &Fig2Config) -> Vec<Fig2Row> {
-    let outcome = CampaignRunner::new(cfg.to_scenario())
-        .run_discarding()
-        .expect("fig2 config compiles to a valid scenario");
-    match outcome.data {
-        OutcomeData::Injection(rows) => rows
-            .into_iter()
-            .map(|r| Fig2Row {
-                app: r.app,
-                stuck: r.stuck,
-                bit: r.bit,
-                snr_db: r.snr_db,
-            })
-            .collect(),
-        other => unreachable!("bit-position scenarios yield injection rows, got {other:?}"),
-    }
-}
+use crate::scenario::InjectionRow;
 
 /// The §III claim for compressed sensing: the highest bit position whose
-/// injected fault still leaves the output above `threshold_db` (35 dB for
-/// multi-lead ECG reconstruction, 40 dB for single-lead).
+/// injected fault still leaves the unprotected output above
+/// `threshold_db` (35 dB for multi-lead ECG reconstruction, 40 dB for
+/// single-lead). Only compressed-sensing rows without protection
+/// ([`EmtKind::None`]) count.
 ///
 /// Returns `(stuck_at_0_limit, stuck_at_1_limit)`; `None` means even the
 /// LSB violates the threshold.
-pub fn cs_tolerance(rows: &[Fig2Row], threshold_db: f64) -> (Option<u32>, Option<u32>) {
+pub fn cs_tolerance(rows: &[InjectionRow], threshold_db: f64) -> (Option<u32>, Option<u32>) {
     let limit = |stuck: StuckAt| {
         let mut curve: Vec<(u32, f64)> = rows
             .iter()
-            .filter(|r| r.app == AppKind::CompressedSensing && r.stuck == stuck)
+            .filter(|r| {
+                r.app == AppKind::CompressedSensing && r.emt == EmtKind::None && r.stuck == stuck
+            })
             .map(|r| (r.bit, r.snr_db))
             .collect();
         curve.sort_by_key(|&(bit, _)| bit);
@@ -147,33 +54,42 @@ pub fn cs_tolerance(rows: &[Fig2Row], threshold_db: f64) -> (Option<u32>, Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{registry, CampaignRunner, OutcomeData, Scenario};
 
-    fn small_cfg(apps: Vec<AppKind>) -> Fig2Config {
-        Fig2Config {
+    /// A reduced `fig2` preset: 512-sample windows, 2 records, 4 fault
+    /// locations per record.
+    fn rows_of(apps: Vec<AppKind>) -> Vec<InjectionRow> {
+        let sc = Scenario {
             window: 512,
             records: 2,
+            trials: 4,
             apps,
-            fault_trials: 4,
+            ..registry::get("fig2", false).unwrap()
+        };
+        match CampaignRunner::new(sc).run_discarding().unwrap().data {
+            OutcomeData::Injection(rows) => rows,
+            other => panic!("injection rows expected, got {other:?}"),
         }
+    }
+
+    fn snr_at(rows: &[InjectionRow], stuck: StuckAt, bit: u32) -> f64 {
+        rows.iter()
+            .find(|r| r.stuck == stuck && r.bit == bit)
+            .unwrap()
+            .snr_db
     }
 
     #[test]
     fn msb_errors_hurt_more_than_lsb() {
         // The headline finding of §III: SNR decreases monotonically-ish as
         // the stuck bit moves toward the MSB.
-        let rows = run_fig2(&small_cfg(vec![AppKind::Dwt]));
-        let snr_at = |stuck: StuckAt, bit: u32| {
-            rows.iter()
-                .find(|r| r.stuck == stuck && r.bit == bit)
-                .unwrap()
-                .snr_db
-        };
+        let rows = rows_of(vec![AppKind::Dwt]);
         for stuck in [StuckAt::Zero, StuckAt::One] {
             assert!(
-                snr_at(stuck, 1) > snr_at(stuck, 14) + 20.0,
+                snr_at(&rows, stuck, 1) > snr_at(&rows, stuck, 14) + 20.0,
                 "{stuck:?}: LSB {} vs MSB {}",
-                snr_at(stuck, 1),
-                snr_at(stuck, 14)
+                snr_at(&rows, stuck, 1),
+                snr_at(&rows, stuck, 14)
             );
         }
     }
@@ -181,35 +97,35 @@ mod tests {
     #[test]
     fn stuck_at_one_msb_is_milder_for_cs() {
         // §III: mostly-negative samples hide stuck-at-1 MSB faults.
-        let rows = run_fig2(&small_cfg(vec![AppKind::CompressedSensing]));
-        let snr_at = |stuck: StuckAt, bit: u32| {
-            rows.iter()
-                .find(|r| r.stuck == stuck && r.bit == bit)
-                .unwrap()
-                .snr_db
-        };
+        let rows = rows_of(vec![AppKind::CompressedSensing]);
         for bit in [13u32, 14, 15] {
             assert!(
-                snr_at(StuckAt::One, bit) > snr_at(StuckAt::Zero, bit),
+                snr_at(&rows, StuckAt::One, bit) > snr_at(&rows, StuckAt::Zero, bit),
                 "bit {bit}: sa1 {} should beat sa0 {}",
-                snr_at(StuckAt::One, bit),
-                snr_at(StuckAt::Zero, bit)
+                snr_at(&rows, StuckAt::One, bit),
+                snr_at(&rows, StuckAt::Zero, bit)
             );
         }
     }
 
     #[test]
     fn cs_tolerance_extraction_works() {
-        let mk = |bit: u32, stuck: StuckAt, snr: f64| Fig2Row {
+        let mk = |bit: u32, stuck: StuckAt, snr: f64| InjectionRow {
             app: AppKind::CompressedSensing,
+            emt: EmtKind::None,
             stuck,
             bit,
             snr_db: snr,
         };
-        let rows: Vec<Fig2Row> = (0..16)
+        let mut rows: Vec<InjectionRow> = (0..16)
             .map(|b| mk(b, StuckAt::Zero, if b <= 10 { 50.0 } else { 20.0 }))
             .chain((0..16).map(|b| mk(b, StuckAt::One, if b <= 12 { 50.0 } else { 20.0 })))
             .collect();
+        // Protected rows never count toward the unprotected tolerance.
+        rows.push(InjectionRow {
+            emt: EmtKind::Dream,
+            ..mk(3, StuckAt::Zero, 20.0)
+        });
         let (sa0, sa1) = cs_tolerance(&rows, 35.0);
         assert_eq!(sa0, Some(10));
         assert_eq!(sa1, Some(12));
@@ -217,22 +133,7 @@ mod tests {
 
     #[test]
     fn row_count_is_apps_by_polarity_by_bits() {
-        let rows = run_fig2(&small_cfg(vec![AppKind::Dwt, AppKind::CompressedSensing]));
+        let rows = rows_of(vec![AppKind::Dwt, AppKind::CompressedSensing]);
         assert_eq!(rows.len(), 2 * 2 * 16);
-    }
-
-    #[test]
-    fn config_scenario_matches_registry_preset() {
-        // The registry's full-scale fig2 preset and the historical config
-        // default must compile to the same campaign (modulo the bin's
-        // higher default trial count and the registry title).
-        let mut from_cfg = Fig2Config {
-            fault_trials: 8,
-            ..Default::default()
-        }
-        .to_scenario();
-        let preset = registry::get("fig2", false).unwrap();
-        from_cfg.title.clone_from(&preset.title);
-        assert_eq!(from_cfg, preset);
     }
 }

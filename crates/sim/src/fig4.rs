@@ -1,90 +1,16 @@
 //! Experiments E2–E4: Fig. 4 — SNR versus memory supply voltage under the
 //! three protection schemes.
 //!
-//! Since the scenario engine landed this module is a thin preset
-//! constructor ([`Fig4Config::to_scenario`]) plus row-typed
-//! post-processing ([`Fig4Point`], [`curve`]) over the engine's shared
-//! [`crate::scenario::ScenarioOutcome`]; the sweep itself executes in
-//! [`crate::scenario::engine`].
+//! The sweep is the registry's `fig4` preset, executed by
+//! [`crate::scenario::engine`]: for every voltage it draws `trials` random
+//! stuck-at maps at the model BER, reuses **the same map** across all EMTs
+//! (§V: "all the EMTs are tested reusing the same set of error
+//! locations/mappings"), runs every application, and averages the per-run
+//! SNRs in dB. This module holds the row type ([`Fig4Point`]) and the
+//! curve lookup ([`curve`]) over the resulting outcome.
 
 use dream_core::EmtKind;
 use dream_dsp::AppKind;
-use dream_ecg::Database;
-use dream_mem::BerModel;
-
-use crate::scenario::{
-    registry, CampaignRunner, FaultSpec, Grid, Kind, OutcomeData, Scenario, SinkSpec,
-};
-
-/// Configuration of the Fig. 4 voltage sweep.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Fig4Config {
-    /// Input window length in samples.
-    pub window: usize,
-    /// Fault-map draws per (voltage) point — the paper uses 200 (§V).
-    pub runs: usize,
-    /// Supply-voltage grid (V).
-    pub voltages: Vec<f64>,
-    /// Techniques to sweep (Fig. 4a/b/c = None/DREAM/ECC).
-    pub emts: Vec<EmtKind>,
-    /// Applications to sweep.
-    pub apps: Vec<AppKind>,
-    /// BER-vs-voltage model.
-    pub ber: BerModel,
-    /// Base seed of the campaign.
-    pub seed: u64,
-}
-
-impl Default for Fig4Config {
-    fn default() -> Self {
-        Fig4Config {
-            window: 1024,
-            runs: 200,
-            voltages: BerModel::paper_voltages(),
-            emts: EmtKind::paper_set().to_vec(),
-            apps: AppKind::all().to_vec(),
-            ber: BerModel::date16(),
-            seed: registry::FIG4_SEED,
-        }
-    }
-}
-
-impl Fig4Config {
-    /// A reduced sweep for tests and smoke runs.
-    pub fn smoke() -> Self {
-        Fig4Config {
-            window: 512,
-            runs: 8,
-            voltages: vec![0.5, 0.6, 0.7, 0.8, 0.9],
-            ..Default::default()
-        }
-    }
-
-    /// Compiles this configuration to its scenario spec — the same
-    /// campaign `dream run fig4` executes.
-    pub fn to_scenario(&self) -> Scenario {
-        Scenario {
-            name: "fig4".into(),
-            title: String::new(),
-            kind: Kind::SnrSweep,
-            window: self.window,
-            records: Database::SUITE_SIZE,
-            trials: self.runs,
-            apps: self.apps.clone(),
-            emts: self.emts.clone(),
-            grid: Grid::Voltage(self.voltages.clone()),
-            fault: FaultSpec::from_model(&self.ber),
-            fixed_voltage: BerModel::NOMINAL_VOLTAGE,
-            noise_scale: 1.0,
-            scrambler_key: None,
-            tolerance_db: None,
-            ber_slopes: Vec::new(),
-            seed: self.seed,
-            sink: SinkSpec::default(),
-            point_offset: 0,
-        }
-    }
-}
 
 /// One point of one curve in Fig. 4.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -106,25 +32,6 @@ pub struct Fig4Point {
     pub corrected_rate: f64,
 }
 
-/// Reproduces Fig. 4: for every voltage, draw `runs` random stuck-at maps
-/// at the model BER, reuse **the same map** across all EMTs (§V: "all the
-/// EMTs are tested reusing the same set of error locations/mappings"), run
-/// every application, and average the per-run SNRs in dB.
-///
-/// # Panics
-///
-/// Panics if the configuration fails scenario validation (empty app or
-/// EMT list, empty voltage grid, window below 256).
-pub fn run_fig4(cfg: &Fig4Config) -> Vec<Fig4Point> {
-    let outcome = CampaignRunner::new(cfg.to_scenario())
-        .run_discarding()
-        .expect("fig4 config compiles to a valid scenario");
-    match outcome.data {
-        OutcomeData::Fig4(points) => points,
-        other => unreachable!("voltage SNR scenarios yield Fig. 4 points, got {other:?}"),
-    }
-}
-
 /// Looks up the curve of one (app, EMT) pair, sorted by voltage ascending.
 pub fn curve(points: &[Fig4Point], app: AppKind, emt: EmtKind) -> Vec<Fig4Point> {
     let mut c: Vec<Fig4Point> = points
@@ -139,28 +46,32 @@ pub fn curve(points: &[Fig4Point], app: AppKind, emt: EmtKind) -> Vec<Fig4Point>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{registry, CampaignRunner, Grid, OutcomeData, Scenario};
 
-    fn tiny() -> Fig4Config {
-        Fig4Config {
+    /// A reduced `fig4` preset: DWT only, 4 draws at three voltages.
+    fn tiny() -> Vec<Fig4Point> {
+        let sc = Scenario {
             window: 512,
-            runs: 4,
-            voltages: vec![0.5, 0.7, 0.9],
-            emts: EmtKind::paper_set().to_vec(),
+            trials: 4,
+            grid: Grid::Voltage(vec![0.5, 0.7, 0.9]),
             apps: vec![AppKind::Dwt],
-            ber: BerModel::date16(),
             seed: 11,
+            ..registry::get("fig4", false).unwrap()
+        };
+        match CampaignRunner::new(sc).run_discarding().unwrap().data {
+            OutcomeData::Fig4(points) => points,
+            other => panic!("Fig. 4 points expected, got {other:?}"),
         }
     }
 
     #[test]
     fn produces_full_grid() {
-        let points = run_fig4(&tiny());
-        assert_eq!(points.len(), 3 * 3);
+        assert_eq!(tiny().len(), 3 * 3);
     }
 
     #[test]
     fn snr_degrades_as_voltage_drops_unprotected() {
-        let points = run_fig4(&tiny());
+        let points = tiny();
         let c = curve(&points, AppKind::Dwt, EmtKind::None);
         assert!(
             c.first().unwrap().mean_snr_db < c.last().unwrap().mean_snr_db,
@@ -171,7 +82,7 @@ mod tests {
 
     #[test]
     fn protection_helps_at_mid_voltages() {
-        let points = run_fig4(&tiny());
+        let points = tiny();
         let none = curve(&points, AppKind::Dwt, EmtKind::None);
         let dream = curve(&points, AppKind::Dwt, EmtKind::Dream);
         let ecc = curve(&points, AppKind::Dwt, EmtKind::EccSecDed);
@@ -182,8 +93,8 @@ mod tests {
 
     #[test]
     fn determinism() {
-        let a = run_fig4(&tiny());
-        let b = run_fig4(&tiny());
+        let a = tiny();
+        let b = tiny();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.mean_snr_db, y.mean_snr_db);
@@ -192,16 +103,8 @@ mod tests {
 
     #[test]
     fn curve_sorts_by_voltage() {
-        let points = run_fig4(&tiny());
+        let points = tiny();
         let c = curve(&points, AppKind::Dwt, EmtKind::Dream);
         assert!(c.windows(2).all(|w| w[0].voltage < w[1].voltage));
-    }
-
-    #[test]
-    fn default_config_matches_registry_preset() {
-        let mut from_cfg = Fig4Config::default().to_scenario();
-        let preset = registry::get("fig4", false).unwrap();
-        from_cfg.title.clone_from(&preset.title);
-        assert_eq!(from_cfg, preset);
     }
 }

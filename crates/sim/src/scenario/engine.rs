@@ -28,7 +28,7 @@ use crate::campaign::{
     EmtMemory, RawTrace,
 };
 use crate::energy_table::{run_energy_table, EnergyConfig, EnergyRow};
-use crate::exec::{self, CancelToken};
+use crate::exec::{self, CancelToken, ExecConfig};
 use crate::fig4::Fig4Point;
 use crate::report::Sink;
 use crate::telemetry;
@@ -191,39 +191,11 @@ fn ensure_live(cancel: Option<&CancelToken>) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Runs a scenario, discarding the streamed rows (callers that only want
-/// the typed outcome).
-///
-/// # Errors
-///
-/// Returns [`EngineError::Spec`] when the spec fails validation.
-#[deprecated(
-    since = "0.6.0",
-    note = "drive campaigns through `scenario::CampaignRunner` (`CampaignRunner::new(sc).run_discarding()`)"
-)]
-pub fn run(sc: &Scenario) -> Result<ScenarioOutcome, EngineError> {
-    run_campaign(sc, &mut crate::report::NullSink, None)
-}
-
-/// Runs a scenario, streaming result rows to `sink` as grid points
-/// complete, and returns the full outcome.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Spec`] for invalid specs and
-/// [`EngineError::Io`] for sink failures.
-#[deprecated(
-    since = "0.6.0",
-    note = "drive campaigns through `scenario::CampaignRunner` (`CampaignRunner::new(sc).run(sink)`)"
-)]
-pub fn run_with_sink(sc: &Scenario, sink: &mut dyn Sink) -> Result<ScenarioOutcome, EngineError> {
-    run_campaign(sc, sink, None)
-}
-
 /// The engine's single entry point: validates, dispatches by
 /// (kind, grid) family, streams rows to `sink`, and polls `cancel`
 /// cooperatively. Public API surface is `scenario::CampaignRunner`, which
-/// adds thread pinning and progress instrumentation on top.
+/// binds the execution settings and adds progress instrumentation on top;
+/// they are read here once and handed down explicitly.
 pub(crate) fn run_campaign(
     sc: &Scenario,
     sink: &mut dyn Sink,
@@ -231,13 +203,14 @@ pub(crate) fn run_campaign(
 ) -> Result<ScenarioOutcome, EngineError> {
     sc.validate()?;
     ensure_live(cancel)?;
+    let exec = exec::config();
     match (&sc.kind, &sc.grid) {
-        (Kind::SnrSweep, Grid::BitPosition(bits)) => run_injection(sc, bits, sink, cancel),
-        (Kind::SnrSweep, Grid::Voltage(vs)) => run_voltage(sc, vs, sink, cancel),
-        (Kind::SnrSweep, Grid::NoiseScale(scales)) => run_noise(sc, scales, sink, cancel),
+        (Kind::SnrSweep, Grid::BitPosition(bits)) => run_injection(sc, bits, sink, &exec, cancel),
+        (Kind::SnrSweep, Grid::Voltage(vs)) => run_voltage(sc, vs, sink, &exec, cancel),
+        (Kind::SnrSweep, Grid::NoiseScale(scales)) => run_noise(sc, scales, sink, &exec, cancel),
         (Kind::EnergySweep, Grid::Voltage(vs)) => run_energy(sc, vs, sink, cancel),
         (Kind::EnergySweep, Grid::MemoryWords(words)) => run_geometry(sc, words, sink, cancel),
-        (Kind::Tradeoff, Grid::Voltage(vs)) => run_tradeoff(sc, vs, sink, cancel),
+        (Kind::Tradeoff, Grid::Voltage(vs)) => run_tradeoff(sc, vs, sink, &exec, cancel),
         (Kind::Ablation, Grid::Voltage(vs)) => run_ablation(sc, vs, sink, cancel),
         _ => unreachable!("validate() rejects incompatible kind/grid pairs"),
     }
@@ -292,11 +265,9 @@ fn injection_snrs_batched(
     width: u32,
     records: &[Record],
     references: &[Vec<f64>],
+    exec: &ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<f64>, exec::Cancelled> {
-    // Resolved on the driver thread: workers never see the caller's
-    // ambient (thread-local) bail-out binding.
-    let bailout = exec::batch_bailout();
     // One clean pass per record, shared by every lane group of this
     // (app, EMT): groups replay the trace instead of re-running the app.
     let passes: Vec<CleanPass> = {
@@ -348,7 +319,7 @@ fn injection_snrs_batched(
                 planes.inject(lane, word, t.bit, t.stuck);
             }
             let pass = &passes[record];
-            let mut batch = TrialBatch::with_bailout(group.len(), bailout);
+            let mut batch = TrialBatch::with_bailout(group.len(), exec.bailout);
             mem.replay_trace(&pass.trace, planes, &mut batch, u64::MAX);
             let clean_snr = pass.snr;
             let bailed = batch.bailed().count_ones();
@@ -390,6 +361,7 @@ fn run_injection(
     sc: &Scenario,
     bits: &[u32],
     sink: &mut dyn Sink,
+    exec: &ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     let records = record_suite_with_noise(sc.window, sc.effective_records(), sc.noise_scale);
@@ -426,7 +398,7 @@ fn run_injection(
             } else {
                 SHARED_MAP_WIDTH
             };
-            let snrs = if exec::batch_enabled() {
+            let snrs = if exec.batch {
                 injection_snrs_batched(
                     sc,
                     &trials,
@@ -435,6 +407,7 @@ fn run_injection(
                     width,
                     &records,
                     &references,
+                    exec,
                     cancel,
                 )?
             } else {
@@ -596,7 +569,8 @@ fn record_clean_passes(
 
 /// Point-invariant inputs of one Monte-Carlo draw batch: the resolved
 /// fault model, the calibration behind it, the record suite with its
-/// references, the shared geometry, and the campaign's cancel token.
+/// references, the shared geometry, and the campaign's execution settings
+/// and cancel token.
 struct DrawCtx<'a> {
     /// The point-resolved [`FaultModel`]
     /// ([`crate::scenario::FaultModelSpec::resolve`] at the point's
@@ -610,6 +584,7 @@ struct DrawCtx<'a> {
     /// Memoized clean passes (batched sweeps only; `None` on the scalar
     /// path, which recomputes nothing to begin with).
     clean: Option<&'a CleanPasses>,
+    exec: &'a ExecConfig,
     cancel: Option<&'a CancelToken>,
 }
 
@@ -621,7 +596,7 @@ fn draw_point(
     point: usize,
     ctx: &DrawCtx,
 ) -> Result<Vec<Vec<Cell>>, exec::Cancelled> {
-    if exec::batch_enabled() {
+    if ctx.exec.batch {
         return draw_point_batched(sc, point, ctx);
     }
     let DrawCtx {
@@ -631,6 +606,7 @@ fn draw_point(
         references,
         geometry,
         clean: _,
+        exec: _,
         cancel,
     } = *ctx;
     let runs: Vec<usize> = (0..sc.trials).collect();
@@ -716,11 +692,9 @@ fn draw_point_batched(
         references,
         geometry,
         clean,
+        exec,
         cancel,
     } = *ctx;
-    // Resolved on the driver thread: workers never see the caller's
-    // ambient (thread-local) bail-out binding.
-    let bailout = exec::batch_bailout();
     let groups: Vec<Vec<usize>> = if clean.is_some() {
         // Trace replay feeds each lane exactly its own record's events
         // (masked sub-replays share one plane transposition), so lanes
@@ -797,7 +771,7 @@ fn draw_point_batched(
                 .collect();
             for (ei, mem) in mems.iter_mut().enumerate() {
                 for (ai, app) in apps.iter().enumerate() {
-                    let mut batch = TrialBatch::with_bailout(group.len(), bailout);
+                    let mut batch = TrialBatch::with_bailout(group.len(), exec.bailout);
                     // Survivor baseline shared by every lane of a
                     // single-record group; `None` when traces carry it
                     // per record instead.
@@ -970,13 +944,14 @@ fn voltage_points(
     sc: &Scenario,
     voltages: &[f64],
     mut on_point: impl FnMut(&[Fig4Point]) -> io::Result<()>,
+    exec: &ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<Fig4Point>, EngineError> {
     let records = record_suite_with_noise(sc.window, sc.effective_records(), sc.noise_scale);
     let (_apps, geometry, references) = draw_shared(sc, &records);
     // One clean pass per (EMT, app, record), shared by every voltage: each
     // additional grid point pays only faulty-delta work.
-    let clean = if exec::batch_enabled() {
+    let clean = if exec.batch {
         Some(record_clean_passes(
             sc,
             &records,
@@ -1001,6 +976,7 @@ fn voltage_points(
                 references: &references,
                 geometry,
                 clean: clean.as_ref(),
+                exec,
                 cancel,
             },
         )?;
@@ -1026,6 +1002,7 @@ fn run_voltage(
     sc: &Scenario,
     voltages: &[f64],
     sink: &mut dyn Sink,
+    exec: &ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     sink.begin(&FIG4_HEADERS)?;
@@ -1038,6 +1015,7 @@ fn run_voltage(
             rendered.extend(rows.iter().cloned());
             sink.emit(&rows)
         },
+        exec,
         cancel,
     )?;
     sink.finish()?;
@@ -1053,6 +1031,7 @@ fn run_noise(
     sc: &Scenario,
     scales: &[f64],
     sink: &mut dyn Sink,
+    exec: &ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     let headers = vec![
@@ -1095,7 +1074,7 @@ fn run_noise(
                 .collect();
             // Clean passes follow the suite: consecutive points at one
             // scale share them, like the references.
-            let clean = if exec::batch_enabled() {
+            let clean = if exec.batch {
                 Some(record_clean_passes(
                     sc,
                     &records,
@@ -1119,6 +1098,7 @@ fn run_noise(
                 references,
                 geometry,
                 clean: clean.as_ref(),
+                exec,
                 cancel,
             },
         )?;
@@ -1337,11 +1317,12 @@ fn run_tradeoff(
     sc: &Scenario,
     voltages: &[f64],
     sink: &mut dyn Sink,
+    exec: &ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ScenarioOutcome, EngineError> {
     let headers = vec!["emt", "min_voltage", "savings"];
     sink.begin(&headers)?;
-    let points = voltage_points(sc, voltages, |_| Ok(()), cancel)?;
+    let points = voltage_points(sc, voltages, |_| Ok(()), exec, cancel)?;
     ensure_live(cancel)?;
     let energy = run_energy_table(&energy_config(sc, voltages));
     let tolerance = sc.tolerance_db.unwrap_or(1.0);
@@ -1503,18 +1484,11 @@ impl ScenarioOutcome {
         match &self.data {
             OutcomeData::Injection(rows) => {
                 let mut s = format!("{} injection points", rows.len());
-                let fig2: Vec<crate::fig2::Fig2Row> = rows
+                if rows
                     .iter()
-                    .filter(|r| r.emt == EmtKind::None)
-                    .map(|r| crate::fig2::Fig2Row {
-                        app: r.app,
-                        stuck: r.stuck,
-                        bit: r.bit,
-                        snr_db: r.snr_db,
-                    })
-                    .collect();
-                if fig2.iter().any(|r| r.app == AppKind::CompressedSensing) {
-                    let (sa0, sa1) = crate::fig2::cs_tolerance(&fig2, 35.0);
+                    .any(|r| r.app == AppKind::CompressedSensing && r.emt == EmtKind::None)
+                {
+                    let (sa0, sa1) = crate::fig2::cs_tolerance(rows, 35.0);
                     s.push_str(&format!(
                         "; CS tolerates sa0 to bit {}, sa1 to bit {} at 35 dB (paper: 10, 12)",
                         sa0.map_or("-".into(), |b| b.to_string()),
@@ -1576,18 +1550,14 @@ mod tests {
     use crate::report::{CsvSink, JsonlSink, TableSink};
     use crate::scenario::registry;
     use crate::scenario::runner::CampaignRunner;
-    use std::sync::Mutex;
 
-    /// Serializes tests that pin the global thread override.
-    static THREAD_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Local stand-ins for the deprecated free functions: every engine
-    /// test drives campaigns through the public `CampaignRunner` surface.
+    /// Every engine test drives campaigns through the public
+    /// `CampaignRunner` surface.
     fn run(sc: &Scenario) -> Result<ScenarioOutcome, EngineError> {
         CampaignRunner::new(sc.clone()).run_discarding()
     }
 
-    fn run_with_sink(sc: &Scenario, sink: &mut dyn Sink) -> Result<ScenarioOutcome, EngineError> {
+    fn run_into(sc: &Scenario, sink: &mut dyn Sink) -> Result<ScenarioOutcome, EngineError> {
         CampaignRunner::new(sc.clone()).run(sink)
     }
 
@@ -1614,19 +1584,19 @@ mod tests {
         }
         // Every sink format consumes the same rows without error.
         let mut csv = CsvSink::new(Vec::new());
-        let a = run_with_sink(&sc, &mut csv).unwrap();
+        let a = run_into(&sc, &mut csv).unwrap();
         let csv_text = String::from_utf8(csv.into_inner()).unwrap();
         assert!(csv_text.starts_with("noise_scale,emt,app,"));
         assert_eq!(csv_text.lines().count(), 1 + a.rows.len());
         let mut jsonl = JsonlSink::new(Vec::new());
-        run_with_sink(&sc, &mut jsonl).unwrap();
+        run_into(&sc, &mut jsonl).unwrap();
         let jsonl_text = String::from_utf8(jsonl.into_inner()).unwrap();
         assert_eq!(jsonl_text.lines().count(), a.rows.len());
         assert!(jsonl_text
             .lines()
             .all(|l| l.starts_with("{\"noise_scale\":")));
         let mut table = TableSink::new(Vec::new());
-        run_with_sink(&sc, &mut table).unwrap();
+        run_into(&sc, &mut table).unwrap();
     }
 
     #[test]
@@ -1684,13 +1654,12 @@ mod tests {
 
     #[test]
     fn engine_output_is_thread_count_invariant() {
-        let _guard = THREAD_LOCK.lock().unwrap();
         let sc = tiny_noise();
-        exec::set_thread_override(Some(1));
-        let serial = run(&sc).unwrap();
-        exec::set_thread_override(Some(4));
-        let parallel = run(&sc).unwrap();
-        exec::set_thread_override(None);
+        let serial = CampaignRunner::new(sc.clone())
+            .threads(1)
+            .run_discarding()
+            .unwrap();
+        let parallel = CampaignRunner::new(sc).threads(4).run_discarding().unwrap();
         assert_eq!(serial.rows, parallel.rows);
         assert_eq!(serial.data, parallel.data);
     }

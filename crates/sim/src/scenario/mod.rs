@@ -17,16 +17,31 @@
 //!   [`crate::exec::run_trials`] executor, streaming rows to any
 //!   [`crate::report::Sink`] as grid points complete;
 //! * [`runner`] — the [`CampaignRunner`] builder every driver (CLI,
-//!   campaign service, tests) goes through: per-campaign thread pinning,
-//!   [`Progress`] events, [`CancelToken`] cancellation, and
-//!   resume-by-skipping.
+//!   campaign service, tests) goes through: per-campaign execution
+//!   settings ([`crate::exec::ExecConfig`]), [`Progress`] events,
+//!   [`CancelToken`] cancellation, and resume-by-skipping.
 //!
-//! The historical figure modules ([`crate::fig2`], [`crate::fig4`],
-//! [`crate::energy_table`], [`crate::tradeoff`], [`crate::ablation`]) are
-//! thin preset constructors and row-typed post-processing over a shared
-//! [`ScenarioOutcome`]; their numeric output is byte-identical to the
+//! The figure modules ([`crate::fig2`], [`crate::fig4`],
+//! [`crate::energy_table`], [`crate::tradeoff`], [`crate::ablation`])
+//! hold row types, kernels and row-typed post-processing over a shared
+//! [`ScenarioOutcome`]; the preset outputs are byte-identical to the
 //! pre-engine runners at any thread count (pinned by
-//! `tests/scenario_golden.rs`).
+//! `tests/scenario_golden.rs`). A variant of a preset is a struct update
+//! of it:
+//!
+//! ```
+//! use dream_sim::scenario::{registry, CampaignRunner, OutcomeData, Scenario};
+//!
+//! let sc = Scenario {
+//!     window: 512,
+//!     trials: 1,
+//!     apps: vec![dream_dsp::AppKind::Dwt],
+//!     ..registry::get("fig4", true).expect("preset exists")
+//! };
+//! let outcome = CampaignRunner::new(sc).run_discarding().expect("engine runs");
+//! let OutcomeData::Fig4(points) = outcome.data else { unreachable!() };
+//! assert_eq!(points.len(), 5 * 3); // smoke voltages × none/DREAM/ECC
+//! ```
 //!
 //! # Example
 //!
@@ -49,8 +64,6 @@ pub mod runner;
 pub mod shard;
 pub mod spec;
 
-#[allow(deprecated)]
-pub use engine::{run, run_with_sink};
 pub use engine::{
     AblationRow, EngineError, GeometryEnergyRow, InjectionRow, NoisePoint, OutcomeData,
     ScenarioOutcome,

@@ -1,10 +1,9 @@
 //! [`CampaignRunner`]: the one surface every campaign driver goes
 //! through — the CLI, the campaign service, and tests alike.
 //!
-//! The engine's free functions grew knobs in incompatible places: thread
-//! counts lived in a process-global override, there was no way to observe
-//! a long campaign mid-flight, and nothing could stop one. The builder
-//! carries all three per campaign:
+//! The builder carries everything one campaign execution needs besides
+//! its spec — execution settings ([`ExecConfig`]), progress observation,
+//! cancellation, and resume:
 //!
 //! ```
 //! use dream_sim::report::NullSink;
@@ -20,15 +19,15 @@
 //! ```
 //!
 //! Determinism is untouched: the runner only wraps the sink (to count and
-//! optionally skip rows) and scopes the thread count to the driving
-//! thread, so output stays bit-identical to the engine's at any thread
-//! count. `skip_rows` + [`crate::report::JsonlSink::append`] is the
-//! resume story — re-run the (deterministic) campaign and drop the prefix
-//! already on disk.
+//! optionally skip rows) and binds its [`ExecConfig`] to the driving
+//! thread, so output stays bit-identical to the engine's at any setting.
+//! `skip_rows` + [`crate::report::JsonlSink::append`] is the resume story
+//! — re-run the (deterministic) campaign and drop the prefix already on
+//! disk.
 
 use std::io;
 
-use crate::exec::{self, CancelToken};
+use crate::exec::{self, CancelToken, ExecConfig};
 use crate::report::{NullSink, Sink};
 
 use super::engine::{self, EngineError, ScenarioOutcome};
@@ -51,35 +50,36 @@ pub struct Progress {
 type ProgressFn = dyn Fn(Progress) + Send + Sync;
 
 /// Builder for one campaign execution: spec in, rows out, with per-run
-/// thread pinning, progress events, cooperative cancellation, and
+/// execution settings, progress events, cooperative cancellation, and
 /// resume-by-skipping.
 pub struct CampaignRunner {
     spec: Scenario,
-    threads: Option<usize>,
-    batch: Option<bool>,
-    bailout: Option<f64>,
+    exec: ExecConfig,
     cancel: Option<CancelToken>,
     on_progress: Option<Box<ProgressFn>>,
     skip_rows: usize,
 }
 
 impl CampaignRunner {
-    /// A runner for `spec` with default settings: inherited thread
-    /// resolution, no progress callback, not cancellable, no skipping.
+    /// A runner for `spec` with default settings: execution settings
+    /// from [`ExecConfig::from_env`], no progress callback, not
+    /// cancellable, no skipping.
+    ///
+    /// # Panics
+    ///
+    /// Panics on malformed `DREAM_THREADS` / `DREAM_BATCH` values.
     pub fn new(spec: Scenario) -> CampaignRunner {
         CampaignRunner {
             spec,
-            threads: None,
-            batch: None,
-            bailout: None,
+            exec: ExecConfig::from_env(),
             cancel: None,
             on_progress: None,
             skip_rows: 0,
         }
     }
 
-    /// Pins the worker count for this campaign only (scoped to the
-    /// driving thread — concurrent campaigns don't race).
+    /// Pins the worker count for this campaign only (concurrent
+    /// campaigns on other threads keep theirs).
     ///
     /// # Panics
     ///
@@ -87,24 +87,22 @@ impl CampaignRunner {
     #[must_use]
     pub fn threads(mut self, n: usize) -> CampaignRunner {
         assert!(n > 0, "thread count must be at least 1");
-        self.threads = Some(n);
+        self.exec.threads = n;
         self
     }
 
-    /// Pins bit-sliced trial batching on or off for this campaign only
-    /// (scoped to the driving thread, like [`CampaignRunner::threads`]),
+    /// Pins bit-sliced trial batching on or off for this campaign only,
     /// overriding the `DREAM_BATCH` environment default. Batching changes
     /// scheduling, never values: output is bit-identical either way.
     #[must_use]
     pub fn batch(mut self, enabled: bool) -> CampaignRunner {
-        self.batch = Some(enabled);
+        self.exec.batch = enabled;
         self
     }
 
     /// Pins the batched executor's adaptive bail-out fraction for this
-    /// campaign only (scoped to the driving thread), overriding the
-    /// `DREAM_BATCH_BAILOUT` environment default. Like batching itself,
-    /// the fraction changes scheduling, never values — output is
+    /// campaign only (default [`exec::DEFAULT_BAILOUT`]). Like batching
+    /// itself, the fraction changes scheduling, never values — output is
     /// bit-identical at any setting.
     ///
     /// # Panics
@@ -116,7 +114,7 @@ impl CampaignRunner {
             (0.0..=1.0).contains(&fraction),
             "bail-out fraction must be in 0.0..=1.0, got {fraction}"
         );
-        self.bailout = Some(fraction);
+        self.exec.bailout = fraction;
         self
     }
 
@@ -131,7 +129,8 @@ impl CampaignRunner {
     }
 
     /// Registers a callback invoked after every emitted batch with a
-    /// [`Progress`] snapshot. Called on the driving thread.
+    /// [`Progress`] snapshot. Called on the driving thread, where
+    /// [`exec::config`] returns this runner's settings.
     #[must_use]
     pub fn on_progress(
         mut self,
@@ -178,12 +177,8 @@ impl CampaignRunner {
             },
             on_progress: self.on_progress.as_deref(),
         };
-        let result = exec::with_ambient_bailout(self.bailout, || {
-            exec::with_ambient_batch(self.batch, || {
-                exec::with_ambient_threads(self.threads, || {
-                    engine::run_campaign(&self.spec, &mut instrumented, self.cancel.as_ref())
-                })
-            })
+        let result = exec::with_config(self.exec, || {
+            engine::run_campaign(&self.spec, &mut instrumented, self.cancel.as_ref())
         });
         if matches!(result, Err(EngineError::Cancelled)) {
             let _ = instrumented.inner.finish();
@@ -206,9 +201,7 @@ impl std::fmt::Debug for CampaignRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CampaignRunner")
             .field("spec", &self.spec.name)
-            .field("threads", &self.threads)
-            .field("batch", &self.batch)
-            .field("bailout", &self.bailout)
+            .field("exec", &self.exec)
             .field("cancellable", &self.cancel.is_some())
             .field("skip_rows", &self.skip_rows)
             .finish()
@@ -302,6 +295,18 @@ mod tests {
             );
             assert!(!scalar.is_empty());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "bail-out fraction must be in 0.0..=1.0")]
+    fn out_of_range_bailout_is_rejected() {
+        let _ = CampaignRunner::new(tiny_fig4()).bailout(2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn zero_threads_are_rejected() {
+        let _ = CampaignRunner::new(tiny_fig4()).threads(0);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 use dream_suite::core::EmtKind;
 use dream_suite::dsp::AppKind;
 use dream_suite::sim::energy_table::{run_energy_table, EnergyConfig};
-use dream_suite::sim::fig4::{curve, run_fig4, Fig4Config};
+use dream_suite::sim::fig4::curve;
 use dream_suite::sim::report;
+use dream_suite::sim::scenario::{registry, OutcomeData, Scenario};
+use dream_suite::CampaignRunner;
 
 fn parse_app(name: &str) -> AppKind {
     match name {
@@ -45,12 +47,18 @@ fn main() {
     let window = 1024;
     eprintln!("exploring {app} over 0.5-0.9 V ({runs} fault maps per point)…");
 
-    let points = run_fig4(&Fig4Config {
+    let sc = Scenario {
         window,
-        runs,
+        trials: runs,
         apps: vec![app],
-        ..Default::default()
-    });
+        ..registry::get("fig4", false).expect("preset exists")
+    };
+    let outcome = CampaignRunner::new(sc)
+        .run_discarding()
+        .expect("fig4 variant runs");
+    let OutcomeData::Fig4(points) = outcome.data else {
+        unreachable!("voltage SNR sweeps yield Fig. 4 points")
+    };
     let energy = run_energy_table(&EnergyConfig {
         app,
         window,

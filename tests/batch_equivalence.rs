@@ -10,6 +10,10 @@
 //! divergence-driven eviction, scalar replay, stats deltas, and row
 //! rendering.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
+
+use dream_sim::exec::{self, ExecConfig};
 use dream_sim::report::JsonlSink;
 use dream_sim::scenario::{registry, CampaignRunner, FaultModelSpec, Grid, Scenario};
 
@@ -135,4 +139,59 @@ fn bailout_threshold_never_changes_rows() {
             }
         }
     }
+}
+
+/// Two campaigns driven at once from two OS threads keep their own
+/// execution settings: each progress callback (which runs on its driving
+/// thread) sees exactly its runner's `ExecConfig`, and the two schedules
+/// stream the same bytes.
+#[test]
+fn concurrent_runners_keep_their_own_exec_settings() {
+    let sc = registry::get("fig4", true).expect("preset exists");
+    let scalar = ExecConfig {
+        threads: 1,
+        batch: false,
+        bailout: exec::DEFAULT_BAILOUT,
+    };
+    let batched = ExecConfig {
+        threads: 2,
+        batch: true,
+        bailout: 1.0,
+    };
+    let start = Barrier::new(2);
+    let run = |want: ExecConfig| {
+        let checks = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&checks);
+        let mut sink = JsonlSink::new(Vec::new());
+        let runner = CampaignRunner::new(sc.clone())
+            .threads(want.threads)
+            .batch(want.batch)
+            .bailout(want.bailout)
+            .on_progress(move |_| {
+                assert_eq!(
+                    exec::config(),
+                    want,
+                    "progress saw another campaign's settings"
+                );
+                seen.fetch_add(1, Ordering::SeqCst);
+            });
+        start.wait();
+        runner
+            .run(&mut sink)
+            .unwrap_or_else(|e| panic!("{}: {e}", sc.name));
+        assert_eq!(checks.load(Ordering::SeqCst), sc.grid.len());
+        String::from_utf8(sink.into_inner()).expect("sinks emit UTF-8")
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| run(scalar));
+        let b = s.spawn(|| run(batched));
+        (
+            a.join().expect("scalar runner"),
+            b.join().expect("batched runner"),
+        )
+    });
+    assert!(!a.is_empty());
+    assert_eq!(a, b, "concurrent schedules must stream identical rows");
+    // Outside any campaign the environment decides again.
+    assert_eq!(exec::config(), ExecConfig::from_env());
 }

@@ -7,35 +7,58 @@ use std::sync::Mutex;
 
 use dream_suite::dsp::AppKind;
 use dream_suite::sim::campaign::fault_seed;
-use dream_suite::sim::exec;
-use dream_suite::sim::fig2::{run_fig2, Fig2Config};
-use dream_suite::sim::fig4::{run_fig4, Fig4Config};
+use dream_suite::sim::exec::{self, ExecConfig};
+use dream_suite::sim::fig4::Fig4Point;
+use dream_suite::sim::scenario::{
+    registry, CampaignRunner, Grid, InjectionRow, OutcomeData, Scenario,
+};
 use proptest::prelude::*;
 
-/// Serializes tests that pin the process-wide thread override.
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+/// Serializes tests that read or write `DREAM_THREADS`.
+static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    exec::set_thread_override(Some(n));
+/// Runs `f` with `DREAM_THREADS` set to `value`, restoring the previous
+/// value afterwards.
+fn with_env_threads<R>(value: &str, f: impl FnOnce() -> R) -> R {
+    let previous = std::env::var(exec::THREADS_ENV).ok();
+    std::env::set_var(exec::THREADS_ENV, value);
     let r = f();
-    exec::set_thread_override(None);
+    match previous {
+        Some(v) => std::env::set_var(exec::THREADS_ENV, v),
+        None => std::env::remove_var(exec::THREADS_ENV),
+    }
     r
 }
 
-/// `DREAM_THREADS=1` and `DREAM_THREADS=4` must yield the same `Fig2Row`s
-/// down to the last mantissa bit: same rows, same order, exact f64
-/// equality (not approximate).
+fn outcome(sc: &Scenario, threads: usize) -> OutcomeData {
+    CampaignRunner::new(sc.clone())
+        .threads(threads)
+        .run_discarding()
+        .unwrap_or_else(|e| panic!("{}: {e}", sc.name))
+        .data
+}
+
+/// 1 and 4 worker threads must yield the same injection rows down to the
+/// last mantissa bit: same rows, same order, exact f64 equality (not
+/// approximate).
 #[test]
 fn fig2_rows_identical_serial_vs_parallel() {
-    let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-    let cfg = Fig2Config {
+    let _guard = ENV_LOCK.lock().expect("env lock");
+    let sc = Scenario {
         window: 512,
         records: 2,
+        trials: 2,
         apps: vec![AppKind::Dwt, AppKind::CompressedSensing],
-        fault_trials: 2,
+        ..registry::get("fig2", false).expect("preset exists")
     };
-    let serial = with_threads(1, || run_fig2(&cfg));
-    let parallel = with_threads(4, || run_fig2(&cfg));
+    let rows = |threads| -> Vec<InjectionRow> {
+        match outcome(&sc, threads) {
+            OutcomeData::Injection(rows) => rows,
+            other => panic!("injection rows expected, got {other:?}"),
+        }
+    };
+    let serial = rows(1);
+    let parallel = rows(4);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.app, p.app);
@@ -58,16 +81,22 @@ fn fig2_rows_identical_serial_vs_parallel() {
 /// fields that fold over runs.
 #[test]
 fn fig4_points_identical_serial_vs_parallel() {
-    let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-    let cfg = Fig4Config {
+    let _guard = ENV_LOCK.lock().expect("env lock");
+    let sc = Scenario {
         window: 512,
-        runs: 5,
-        voltages: vec![0.5, 0.7, 0.9],
+        trials: 5,
+        grid: Grid::Voltage(vec![0.5, 0.7, 0.9]),
         apps: vec![AppKind::Dwt],
-        ..Default::default()
+        ..registry::get("fig4", false).expect("preset exists")
     };
-    let serial = with_threads(1, || run_fig4(&cfg));
-    let parallel = with_threads(4, || run_fig4(&cfg));
+    let points = |threads| -> Vec<Fig4Point> {
+        match outcome(&sc, threads) {
+            OutcomeData::Fig4(points) => points,
+            other => panic!("Fig. 4 points expected, got {other:?}"),
+        }
+    };
+    let serial = points(1);
+    let parallel = points(4);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.app, p.app);
@@ -83,36 +112,33 @@ fn fig4_points_identical_serial_vs_parallel() {
     }
 }
 
-/// With no override pinned, `thread_count` resolves through the
+/// `ExecConfig::from_env` resolves the worker count through the
 /// `DREAM_THREADS` environment variable (CI runs this suite with
-/// `DREAM_THREADS=2` to exercise exactly this path).
+/// `DREAM_THREADS=2` to exercise exactly this path), and outside any
+/// campaign `exec::config` is that resolution.
 #[test]
 fn thread_count_honors_environment() {
-    let _guard = OVERRIDE_LOCK.lock().expect("override lock");
-    exec::set_thread_override(None);
+    let _guard = ENV_LOCK.lock().expect("env lock");
     // Whatever the ambient variable says must be what campaigns get…
     if let Ok(raw) = std::env::var(exec::THREADS_ENV) {
         let expect: usize = raw.trim().parse().expect("DREAM_THREADS is an integer");
-        assert_eq!(exec::thread_count(), expect);
+        assert_eq!(ExecConfig::from_env().threads, expect);
     }
     // …and an explicit value must round-trip through the resolution path.
-    let ambient = std::env::var(exec::THREADS_ENV).ok();
-    std::env::set_var(exec::THREADS_ENV, "3");
-    assert_eq!(exec::thread_count(), 3);
-    match ambient {
-        Some(v) => std::env::set_var(exec::THREADS_ENV, v),
-        None => std::env::remove_var(exec::THREADS_ENV),
-    }
+    with_env_threads("3", || {
+        assert_eq!(ExecConfig::from_env().threads, 3);
+        assert_eq!(exec::config().threads, 3);
+    });
 }
 
 /// The executor preserves trial order regardless of the schedule.
 #[test]
 fn executor_results_stay_in_trial_order() {
-    let _guard = OVERRIDE_LOCK.lock().expect("override lock");
+    let _guard = ENV_LOCK.lock().expect("env lock");
     let trials: Vec<u64> = (0..503).collect();
     let expect: Vec<u64> = trials.iter().map(|t| t.wrapping_mul(0x9E37)).collect();
     for threads in [1, 2, 4, 7] {
-        let got = with_threads(threads, || {
+        let got = with_env_threads(&threads.to_string(), || {
             exec::run_trials(&trials, || (), |(), &t, _| t.wrapping_mul(0x9E37))
         });
         assert_eq!(got, expect, "{threads} threads");

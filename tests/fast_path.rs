@@ -10,8 +10,8 @@ use dream_suite::dsp::AppKind;
 use dream_suite::ecg::Database;
 use dream_suite::mem::{BerModel, FaultMap};
 use dream_suite::sim::campaign::{banked_geometry, ProtectedStorage};
-use dream_suite::sim::fig2::{run_fig2, Fig2Config};
-use dream_suite::sim::fig4::{run_fig4, Fig4Config};
+use dream_suite::sim::report::CsvSink;
+use dream_suite::sim::scenario::{registry, CampaignRunner, Grid, OutcomeData, Scenario};
 
 /// Serializes tests that flip the process-wide fast-path kill switch.
 static TOGGLE_LOCK: Mutex<()> = Mutex::new(());
@@ -30,20 +30,33 @@ fn with_full_decode<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Runs `sc`, returning its typed payload and the exact CSV bytes the
+/// `dream run --sink csv:DIR` artifact would hold.
+fn run_csv(sc: &Scenario) -> (OutcomeData, Vec<u8>) {
+    let mut sink = CsvSink::new(Vec::new());
+    let outcome = CampaignRunner::new(sc.clone())
+        .run(&mut sink)
+        .unwrap_or_else(|e| panic!("{}: {e}", sc.name));
+    (outcome.data, sink.into_inner())
+}
+
 /// A fig2-sized campaign produces bit-identical rows — and therefore
-/// byte-identical CSV output (formatted exactly as the `fig2` binary
-/// does) — with the fast path force-disabled.
+/// byte-identical CSV output — with the fast path force-disabled.
 #[test]
 fn fig2_campaign_and_csv_identical_without_fast_path() {
     let _guard = TOGGLE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let cfg = Fig2Config {
+    let sc = Scenario {
         window: 512,
         records: 2,
+        trials: 2,
         apps: vec![AppKind::Dwt, AppKind::WaveletDelineation],
-        fault_trials: 2,
+        ..registry::get("fig2", false).expect("preset exists")
     };
-    let fast = run_fig2(&cfg);
-    let slow = with_full_decode(|| run_fig2(&cfg));
+    let (fast, fast_csv) = run_csv(&sc);
+    let (slow, slow_csv) = with_full_decode(|| run_csv(&sc));
+    let (OutcomeData::Injection(fast), OutcomeData::Injection(slow)) = (fast, slow) else {
+        panic!("bit-position sweeps yield injection rows");
+    };
     assert_eq!(fast.len(), slow.len());
     for (f, s) in fast.iter().zip(&slow) {
         assert_eq!(f.app, s.app);
@@ -60,13 +73,8 @@ fn fig2_campaign_and_csv_identical_without_fast_path() {
             s.snr_db
         );
     }
-    // The exact row formatting the fig2 binary writes to results/*.csv.
-    let csv = |rows: &[dream_suite::sim::fig2::Fig2Row]| -> String {
-        rows.iter()
-            .map(|r| format!("{},{:?},{},{:.3}\n", r.app, r.stuck, r.bit, r.snr_db))
-            .collect()
-    };
-    assert_eq!(csv(&fast), csv(&slow));
+    assert!(!fast_csv.is_empty());
+    assert_eq!(fast_csv, slow_csv);
 }
 
 /// A fig4 voltage sweep — where mid-range BERs mix clean and faulty words
@@ -75,15 +83,19 @@ fn fig2_campaign_and_csv_identical_without_fast_path() {
 #[test]
 fn fig4_sweep_identical_without_fast_path() {
     let _guard = TOGGLE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let cfg = Fig4Config {
+    let sc = Scenario {
         window: 512,
-        runs: 3,
-        voltages: vec![0.55, 0.65, 0.8],
+        trials: 3,
+        grid: Grid::Voltage(vec![0.55, 0.65, 0.8]),
         apps: vec![AppKind::Dwt],
-        ..Default::default()
+        ..registry::get("fig4", false).expect("preset exists")
     };
-    let fast = run_fig4(&cfg);
-    let slow = with_full_decode(|| run_fig4(&cfg));
+    let (fast, fast_csv) = run_csv(&sc);
+    let (slow, slow_csv) = with_full_decode(|| run_csv(&sc));
+    assert_eq!(fast_csv, slow_csv);
+    let (OutcomeData::Fig4(fast), OutcomeData::Fig4(slow)) = (fast, slow) else {
+        panic!("voltage SNR sweeps yield Fig. 4 points");
+    };
     assert_eq!(fast.len(), slow.len());
     for (f, s) in fast.iter().zip(&slow) {
         assert_eq!(f.mean_snr_db.to_bits(), s.mean_snr_db.to_bits(), "{f:?}");

@@ -10,17 +10,50 @@ use dream_suite::mem::{BerModel, StuckAt};
 use dream_suite::sim::energy_table::{
     area_table, average_overhead, ecc_vs_dream_area, run_energy_table, EnergyConfig,
 };
-use dream_suite::sim::fig2::{cs_tolerance, run_fig2, Fig2Config};
-use dream_suite::sim::fig4::{curve, run_fig4, Fig4Config};
+use dream_suite::sim::fig2::cs_tolerance;
+use dream_suite::sim::fig4::{curve, Fig4Point};
+use dream_suite::sim::scenario::{registry, CampaignRunner, InjectionRow, OutcomeData, Scenario};
 use dream_suite::sim::tradeoff::explore;
 
-fn fig4_small(apps: Vec<AppKind>, runs: usize) -> Vec<dream_suite::sim::fig4::Fig4Point> {
-    run_fig4(&Fig4Config {
+fn run(sc: Scenario) -> OutcomeData {
+    CampaignRunner::new(sc)
+        .run_discarding()
+        .expect("preset variant runs")
+        .data
+}
+
+/// The full-scale `fig4` preset at 512-sample windows and `trials` draws
+/// per voltage.
+fn fig4_small(apps: Vec<AppKind>, trials: usize) -> Vec<Fig4Point> {
+    match run(Scenario {
         window: 512,
-        runs,
+        trials,
         apps,
-        ..Default::default()
-    })
+        ..registry::get("fig4", false).expect("preset exists")
+    }) {
+        OutcomeData::Fig4(points) => points,
+        other => panic!("Fig. 4 points expected, got {other:?}"),
+    }
+}
+
+/// The `fig2` preset at the given window, record count, apps and fault
+/// locations per record.
+fn fig2_rows(
+    window: usize,
+    records: usize,
+    apps: Vec<AppKind>,
+    trials: usize,
+) -> Vec<InjectionRow> {
+    match run(Scenario {
+        window,
+        records,
+        trials,
+        apps,
+        ..registry::get("fig2", false).expect("preset exists")
+    }) {
+        OutcomeData::Injection(rows) => rows,
+        other => panic!("injection rows expected, got {other:?}"),
+    }
 }
 
 /// §I / §VI-B: "DREAM consumes 21% less energy than a traditional ECC with
@@ -63,12 +96,7 @@ fn claim_formula_2_bits() {
 /// shifted towards the MSB positions" — monotone trend over bit triplets.
 #[test]
 fn claim_fig2_msb_trend() {
-    let rows = run_fig2(&Fig2Config {
-        window: 512,
-        records: 4,
-        apps: vec![AppKind::Dwt, AppKind::MorphologicalFilter],
-        fault_trials: 4,
-    });
+    let rows = fig2_rows(512, 4, vec![AppKind::Dwt, AppKind::MorphologicalFilter], 4);
     for app in [AppKind::Dwt, AppKind::MorphologicalFilter] {
         for stuck in [StuckAt::Zero, StuckAt::One] {
             let snr_at = |bit: u32| {
@@ -101,12 +129,7 @@ fn claim_cs_tolerance_thresholds() {
     // Full campaign scale for this claim: at fewer records/trials the CS
     // curve sits within 0.1 dB of the 35 dB threshold around bit 13 and the
     // extracted tolerance flips on averaging noise.
-    let rows = run_fig2(&Fig2Config {
-        window: 1024,
-        records: 10,
-        apps: vec![AppKind::CompressedSensing],
-        fault_trials: 8,
-    });
+    let rows = fig2_rows(1024, 10, vec![AppKind::CompressedSensing], 8);
     let (sa0, sa1) = cs_tolerance(&rows, 35.0);
     let sa0 = sa0.expect("some tolerance for stuck-at-0");
     let sa1 = sa1.expect("some tolerance for stuck-at-1");
@@ -129,7 +152,7 @@ fn claim_fig4_crossover() {
     let points = fig4_small(vec![AppKind::Dwt], 12);
     let dream = curve(&points, AppKind::Dwt, EmtKind::Dream);
     let ecc = curve(&points, AppKind::Dwt, EmtKind::EccSecDed);
-    let at = |c: &[dream_suite::sim::fig4::Fig4Point], v: f64| {
+    let at = |c: &[Fig4Point], v: f64| {
         c.iter()
             .find(|p| (p.voltage - v).abs() < 1e-9)
             .unwrap()

@@ -10,7 +10,7 @@ use dream_suite::sim::scenario::{
 
 /// These tests drive campaigns the way every current caller does — through
 /// the [`CampaignRunner`] builder.
-fn run_with_sink(sc: &Scenario, sink: &mut dyn Sink) -> Result<ScenarioOutcome, EngineError> {
+fn run_into(sc: &Scenario, sink: &mut dyn Sink) -> Result<ScenarioOutcome, EngineError> {
     CampaignRunner::new(sc.clone()).run(sink)
 }
 
@@ -35,11 +35,11 @@ fn tiny(preset: &str) -> Scenario {
 
 fn run_all_sinks(sc: &Scenario) -> (String, String, String) {
     let mut csv = CsvSink::new(Vec::new());
-    run_with_sink(sc, &mut csv).expect("csv run");
+    run_into(sc, &mut csv).expect("csv run");
     let mut jsonl = JsonlSink::new(Vec::new());
-    run_with_sink(sc, &mut jsonl).expect("jsonl run");
+    run_into(sc, &mut jsonl).expect("jsonl run");
     let mut table = TableSink::new(Vec::new());
-    run_with_sink(sc, &mut table).expect("table run");
+    run_into(sc, &mut table).expect("table run");
     (
         String::from_utf8(csv.into_inner()).unwrap(),
         String::from_utf8(jsonl.into_inner()).unwrap(),
@@ -99,7 +99,7 @@ fn new_scenarios_run_from_name_and_from_spec_file_identically() {
 fn table_sink_renders_scenario_rows() {
     let sc = tiny("geometry-sweep");
     let mut table = TableSink::new(Vec::new());
-    let outcome = run_with_sink(&sc, &mut table).expect("table run");
+    let outcome = run_into(&sc, &mut table).expect("table run");
     // The table is written to the underlying buffer on finish(); verify
     // through the outcome's row view instead of poking at the sink.
     assert!(!outcome.rows.is_empty());
@@ -114,7 +114,7 @@ fn fault_model_axis_changes_outcomes_at_faulty_voltages() {
     let mut sc = tiny("fig4");
     sc.trials = 2;
     sc.grid = Grid::Voltage(vec![0.5]);
-    let iid = run_with_sink(&sc, &mut dream_suite::sim::report::NullSink).unwrap();
+    let iid = run_into(&sc, &mut dream_suite::sim::report::NullSink).unwrap();
     for model in [
         FaultModelSpec::Burst { mean_run_len: 8.0 },
         FaultModelSpec::ColumnCorrelated { column_weight: 0.8 },
@@ -123,7 +123,7 @@ fn fault_model_axis_changes_outcomes_at_faulty_voltages() {
         },
     ] {
         sc.fault.model = model.clone();
-        let varied = run_with_sink(&sc, &mut dream_suite::sim::report::NullSink).unwrap();
+        let varied = run_into(&sc, &mut dream_suite::sim::report::NullSink).unwrap();
         assert_ne!(
             iid.rows,
             varied.rows,
@@ -165,7 +165,7 @@ fn extends_inherits_the_preset_and_overrides_restated_fields() {
         base.fault.log10_slope_per_volt
     );
     // And it runs.
-    let outcome = run_with_sink(&sc, &mut dream_suite::sim::report::NullSink).unwrap();
+    let outcome = run_into(&sc, &mut dream_suite::sim::report::NullSink).unwrap();
     assert_eq!(outcome.rows.len(), 2 * sc.emts.len());
 
     // Unknown presets are named in the error.
@@ -190,7 +190,7 @@ fn append_jsonl_sink_accumulates_rows_across_runs() {
     let sc = tiny("burst-sweep");
     let run_append = || {
         let mut sink = JsonlSink::append(&path).expect("append sink opens");
-        let outcome = run_with_sink(&sc, &mut sink).expect("run");
+        let outcome = run_into(&sc, &mut sink).expect("run");
         sink.finish().expect("flush");
         outcome
     };
@@ -220,25 +220,4 @@ fn append_jsonl_sink_accumulates_rows_across_runs() {
     );
     bad.sink.out = Some(dir.display().to_string());
     bad.validate().expect("append+jsonl+out is valid");
-}
-
-/// The deprecated free functions must stay working shims over the runner
-/// until their removal release.
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_shims_match_the_runner() {
-    let sc = tiny("noise-sweep");
-    let via_shim = dream_suite::sim::scenario::run(&sc).expect("shim runs");
-    let via_runner = CampaignRunner::new(sc.clone())
-        .run_discarding()
-        .expect("runner runs");
-    assert_eq!(via_shim.rows, via_runner.rows);
-
-    let mut shim_sink = CsvSink::new(Vec::new());
-    dream_suite::sim::scenario::run_with_sink(&sc, &mut shim_sink).expect("shim sink run");
-    let mut runner_sink = CsvSink::new(Vec::new());
-    CampaignRunner::new(sc)
-        .run(&mut runner_sink)
-        .expect("runner sink run");
-    assert_eq!(shim_sink.into_inner(), runner_sink.into_inner());
 }

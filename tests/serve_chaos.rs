@@ -13,12 +13,15 @@
 //! * Protocol garbage — malformed, oversized, and slow-loris requests
 //!   get JSON error bodies (`400`/`431`/`408`), never a silent drop.
 
+#[path = "support/chaos.rs"]
+mod chaos;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use dream_suite::serve::chaos::{ChaosProxy, Fault};
+use chaos::{ChaosProxy, Fault};
 use dream_suite::serve::client::{fetch_campaign, RetryPolicy};
 use dream_suite::serve::http::client_request;
 use dream_suite::serve::{campaign_id, ServeConfig, Server, Store};

@@ -234,3 +234,18 @@ fn boot_existing_dir(dir: PathBuf) -> String {
     .expect("server binds");
     server.spawn().to_string()
 }
+
+/// A body of 200 000 `[` sits far under the body cap; it must come back
+/// as a typed 400 from the spec parser's nesting bound, and the service
+/// must keep answering afterwards (a stack overflow would abort it).
+#[test]
+fn deeply_nested_specs_get_a_400_and_the_server_survives() {
+    let addr = boot(temp_store("deep"));
+    let body = "[".repeat(200_000);
+    let response = client_request(&addr, "POST", "/campaigns", body.as_bytes()).expect("POST");
+    assert_eq!(response.status, 400);
+    let message = String::from_utf8(response.body).expect("error body is UTF-8");
+    assert!(message.contains("nesting"), "{message}");
+    let health = client_request(&addr, "GET", "/healthz", b"").expect("GET /healthz");
+    assert_eq!(health.status, 200);
+}

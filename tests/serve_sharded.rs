@@ -6,14 +6,17 @@
 //! handler pool.
 //!
 //! The workers here are in-process [`Server`] instances in worker mode
-//! (the process-spawning path is exercised by the CI smoke, which boots
-//! `dream serve --shards 2` for real); the HTTP surface between
-//! coordinator and worker is exactly the production one.
+//! (the CI smoke boots real `dream serve --worker` processes and a
+//! `--shards 2 --workers host:port,…` coordinator); the HTTP surface
+//! between coordinator and worker is exactly the production one.
+
+#[path = "support/chaos.rs"]
+mod chaos;
 
 use std::net::TcpListener;
 use std::path::PathBuf;
 
-use dream_suite::serve::chaos::{ChaosProxy, Fault};
+use chaos::{ChaosProxy, Fault};
 use dream_suite::serve::http::client_request;
 use dream_suite::serve::{campaign_id, ServeConfig, Server, Store};
 use dream_suite::sim::report::JsonlSink;
@@ -171,6 +174,20 @@ fn unshardable_campaigns_run_directly_on_the_coordinator() {
         0,
         "no shard ever reaches a worker"
     );
+}
+
+#[test]
+fn a_coordinator_without_worker_addresses_is_a_startup_error() {
+    let err = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        store_dir: temp_store("no_workers"),
+        shards: 2,
+        ..ServeConfig::default()
+    })
+    .err()
+    .expect("a shards-2 coordinator with no workers must not start");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("--workers"), "{err}");
 }
 
 #[test]

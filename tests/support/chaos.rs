@@ -5,7 +5,7 @@
 //! connection to a fixed upstream, applying the next [`Fault`] popped
 //! from its queue (connections beyond the queue pass through untouched).
 //! Faults model the transport failures the retry layer in
-//! [`crate::client`] must survive:
+//! `dream_serve::client` must survive:
 //!
 //! * [`Fault::Refuse`] — accept, then close immediately (connection
 //!   reset before any bytes).
@@ -18,6 +18,11 @@
 //! The proxy is deliberately dumb: it counts raw bytes, not HTTP frames,
 //! so a fault can land anywhere — inside a chunk header, mid-row, or
 //! between the status line and the body. That arbitrariness is the point.
+//!
+//! Test support shared by the chaos and sharding suites; each includes it
+//! with `#[path = "support/chaos.rs"] mod chaos;` and uses what it needs.
+
+#![allow(dead_code)]
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
