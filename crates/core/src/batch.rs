@@ -1,11 +1,13 @@
 //! Batched (lane-per-trial) decode results and per-trial bookkeeping for
 //! bit-sliced Monte-Carlo execution.
 //!
-//! The campaign engine can run up to 64 trials of one grid point in
-//! lockstep: all trials share a single clean computation pass, and at
-//! every read of an address some trial corrupts, the codec decodes *all*
-//! lanes at once from bit planes ([`EmtCodec::decode_batch`]). Exactness
-//! is preserved by a divergence rule tracked in [`TrialBatch`]:
+//! The campaign engine runs up to 64 trials of one grid point in
+//! lockstep. The application runs once, fault-free, and its reads are
+//! recorded as a clean trace; each group of lanes then replays that trace
+//! against its own fault planes. At every recorded read some lane
+//! corrupts, the codec decodes *all* lanes at once from bit planes
+//! ([`EmtCodec::decode_batch`]). Exactness is preserved by a divergence
+//! rule tracked in [`TrialBatch`]:
 //!
 //! * A lane whose decoded **word** equals the clean word behaves, from the
 //!   application's point of view, exactly like the clean pass — the app
@@ -15,9 +17,9 @@
 //!   (corrected / uncorrectable) may differ, and [`TrialBatch`] accumulates
 //!   that as a signed delta against the clean pass's statistics.
 //! * A lane whose decoded word *differs* from the clean word is **evicted**
-//!   ([`TrialBatch::record_read`] drops it from the alive mask); the caller
-//!   re-runs it on the ordinary scalar path from scratch. Batch output is
-//!   therefore bit-identical to scalar output by construction.
+//!   ([`TrialBatch::record_read_repeated`] drops it from the alive mask);
+//!   the caller re-runs it on the ordinary scalar path from scratch. Batch
+//!   output is therefore bit-identical to scalar output by construction.
 //!
 //! [`scalar_decode_batch`] is the transpose-and-decode reference that the
 //! trait's default implementation uses and every SWAR override is pinned
@@ -88,8 +90,8 @@ pub fn scalar_decode_batch<C: EmtCodec + ?Sized>(
     out
 }
 
-/// Per-trial bookkeeping of one batched pass: which lanes are still riding
-/// the clean computation, and each survivor's outcome-count delta against
+/// Per-trial bookkeeping of one batched pass: which lanes still compute
+/// exactly what the clean pass computed, and each survivor's outcome-count delta against
 /// the clean pass's [`AccessStats`].
 #[derive(Clone, Debug)]
 pub struct TrialBatch {
@@ -178,34 +180,21 @@ impl TrialBatch {
         self.alive >> lane & 1 == 1
     }
 
-    /// Accounts for one read of an address some lanes corrupt.
+    /// Accounts for `count` back-to-back reads of an address some lanes
+    /// corrupt, all seeing the same stored code and decoding identically —
+    /// one aggregated clean-trace event.
     ///
     /// `active` selects the lanes with a stuck cell at the address (others
     /// already behave exactly like the clean pass and need no bookkeeping);
     /// `diverged` flags lanes whose decoded word differs from the clean
     /// word, and `corrected` / `uncorrectable` carry the batch decode's
-    /// outcome masks. `clean` is the clean pass's own outcome for this
-    /// read, which the per-lane deltas are taken against.
+    /// outcome masks. `clean` is the clean pass's own outcome for these
+    /// reads, which the per-lane deltas are taken against.
     ///
-    /// Diverged active lanes are evicted; surviving active lanes accumulate
-    /// `(lane outcome − clean outcome)` into their deltas.
-    #[inline]
-    pub fn record_read(
-        &mut self,
-        active: u64,
-        diverged: u64,
-        corrected: u64,
-        uncorrectable: u64,
-        clean: DecodeOutcome,
-    ) {
-        self.record_read_repeated(active, diverged, corrected, uncorrectable, clean, 1);
-    }
-
-    /// [`record_read`](Self::record_read) for `count` back-to-back reads
-    /// that all see the same stored code and decode identically — the
-    /// replay path's aggregated clean-trace entries. Survivor deltas are
-    /// scaled by `count`; eviction is count-independent (a diverged lane
-    /// diverges on the first of the repeats).
+    /// Diverged active lanes are evicted; eviction is count-independent (a
+    /// diverged lane diverges on the first of the repeats). Surviving
+    /// active lanes accumulate `(lane outcome − clean outcome) × count`
+    /// into their deltas.
     #[inline]
     pub fn record_read_repeated(
         &mut self,
@@ -286,11 +275,11 @@ mod tests {
     fn diverged_active_lanes_are_evicted_and_stay_evicted() {
         let mut b = TrialBatch::new(8);
         // Lane 1 diverges; lane 5 is flagged diverged but not active here.
-        b.record_read(0b0000_0011, 0b0010_0010, 0, 0, DecodeOutcome::Clean);
+        b.record_read_repeated(0b0000_0011, 0b0010_0010, 0, 0, DecodeOutcome::Clean, 1);
         assert_eq!(b.evicted(), 0b0000_0010);
         assert!(b.is_alive(5));
         // An evicted lane is no longer active even if its bit is passed.
-        b.record_read(0b0000_0010, 0, 0b0000_0010, 0, DecodeOutcome::Clean);
+        b.record_read_repeated(0b0000_0010, 0, 0b0000_0010, 0, DecodeOutcome::Clean, 1);
         let clean = AccessStats::default();
         assert_eq!(b.lane_stats(1, &clean).corrected_reads, 0);
     }
@@ -305,10 +294,10 @@ mod tests {
         };
         let mut b = TrialBatch::new(4);
         // Clean read was Clean; lane 0 corrected, lane 2 uncorrectable.
-        b.record_read(0b0101, 0, 0b0001, 0b0100, DecodeOutcome::Clean);
+        b.record_read_repeated(0b0101, 0, 0b0001, 0b0100, DecodeOutcome::Clean, 1);
         // Clean read was Corrected; lane 0 also corrected (no delta), lane
         // 1 read clean (delta −1 corrected).
-        b.record_read(0b0011, 0, 0b0001, 0, DecodeOutcome::Corrected);
+        b.record_read_repeated(0b0011, 0, 0b0001, 0, DecodeOutcome::Corrected, 1);
         let s0 = b.lane_stats(0, &clean);
         assert_eq!((s0.reads, s0.writes), (100, 40));
         assert_eq!(s0.corrected_reads, 4);
@@ -337,15 +326,15 @@ mod tests {
     fn bailout_abandons_survivors_once_population_drops_below_threshold() {
         // 8 lanes, 25% threshold: bail when fewer than 2 lanes survive.
         let mut b = TrialBatch::with_bailout(8, 0.25);
-        b.record_read(0xFF, 0b0011_1111, 0, 0, DecodeOutcome::Clean);
+        b.record_read_repeated(0xFF, 0b0011_1111, 0, 0, DecodeOutcome::Clean, 1);
         assert_eq!(b.alive(), 0b1100_0000, "2 survivors is not below 2");
         assert_eq!(b.bailed(), 0);
-        b.record_read(0xFF, 0b0100_0000, 0, 0, DecodeOutcome::Clean);
+        b.record_read_repeated(0xFF, 0b0100_0000, 0, 0, DecodeOutcome::Clean, 1);
         assert_eq!(b.alive(), 0, "1 survivor < 2 triggers the bail-out");
         assert_eq!(b.bailed(), 0b1000_0000, "the straggler, not the diverger");
         assert_eq!(b.evicted(), 0xFF, "every lane now replays scalar");
         // Bail-out is sticky: later reads account nothing.
-        b.record_read(0xFF, 0, 0xFF, 0, DecodeOutcome::Clean);
+        b.record_read_repeated(0xFF, 0, 0xFF, 0, DecodeOutcome::Clean, 1);
         let clean = AccessStats::default();
         assert_eq!(b.lane_stats(7, &clean).corrected_reads, 0);
     }
@@ -353,7 +342,7 @@ mod tests {
     #[test]
     fn full_bailout_fraction_bails_on_first_eviction() {
         let mut b = TrialBatch::with_bailout(4, 1.0);
-        b.record_read(0b1111, 0b0001, 0, 0, DecodeOutcome::Clean);
+        b.record_read_repeated(0b1111, 0b0001, 0, 0, DecodeOutcome::Clean, 1);
         assert_eq!(b.alive(), 0);
         assert_eq!(b.bailed(), 0b1110);
     }
@@ -361,7 +350,7 @@ mod tests {
     #[test]
     fn zero_bailout_fraction_never_bails() {
         let mut b = TrialBatch::with_bailout(4, 0.0);
-        b.record_read(0b1111, 0b0111, 0, 0, DecodeOutcome::Clean);
+        b.record_read_repeated(0b1111, 0b0111, 0, 0, DecodeOutcome::Clean, 1);
         assert_eq!(b.alive(), 0b1000, "last survivor rides to the end");
         assert_eq!(b.bailed(), 0);
     }

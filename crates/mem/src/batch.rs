@@ -1,14 +1,14 @@
 //! Bit-plane (lane-per-trial) fault storage for batched Monte-Carlo
 //! execution.
 //!
-//! A Monte-Carlo campaign runs many trials of the *same* record that
+//! A Monte-Carlo campaign runs many trials of the *same* records that
 //! differ only in their stuck-at fault maps. [`BatchFaultPlanes`]
 //! transposes up to [`MAX_LANES`] such maps into per-address bit planes:
 //! for each faulty address it stores, per code-bit position, one `u64`
-//! whose bit *l* describes lane (trial) *l*. A single clean computation
-//! pass can then overlay every trial's corruption in O(width) word
-//! operations per read ([`BatchFaultPlanes::overlay`]) instead of
-//! re-running the pass per trial.
+//! whose bit *l* describes lane (trial) *l*. Replaying a recorded clean
+//! trace can then overlay every trial's corruption on each recorded read
+//! in O(width) word operations ([`BatchFaultPlanes::overlay`]) instead of
+//! re-running the application per trial.
 //!
 //! Fault maps are *physical*; trials may additionally scramble the
 //! logical→physical address mapping. Planes are indexed by **logical**

@@ -48,7 +48,7 @@
 //! handler pool; anything that *streams* (a campaign body, a `/rows`
 //! follow) is handed to a poller thread as a non-blocking socket. The
 //! poller owns every follower at once — a readiness ladder of one rung:
-//! it wakes on engine progress notifications (with [`FOLLOW_POLL`] as a
+//! it wakes on engine progress notifications (with the 25 ms `FOLLOW_POLL` as a
 //! backstop), frames fresh artifact bytes into per-connection buffers,
 //! and retries `WouldBlock` writes on the next tick — so hundreds of
 //! followers cost hundreds of buffers, not hundreds of threads. A
@@ -93,6 +93,41 @@ use crate::store::{campaign_id, spec_hash, Integrity, Store};
 /// How long row-stream followers sleep between artifact polls when no
 /// progress notification arrives.
 const FOLLOW_POLL: Duration = Duration::from_millis(25);
+
+/// A wake-up signal that is never lost: [`Wakeup::notify`] raises a flag
+/// under the lock before waking waiters, so a notify that lands while the
+/// poller is busy pumping followers (not waiting) still ends its next
+/// [`Wakeup::take`] at once instead of after the full timeout.
+#[derive(Default)]
+struct Wakeup {
+    woken: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Wakeup {
+    fn notify(&self) {
+        *self.woken.lock().expect("wakeup lock") = true;
+        self.cv.notify_all();
+    }
+
+    /// Waits until notified or `timeout` elapses, consuming the
+    /// notification. Returns whether one arrived.
+    fn take(&self, timeout: Duration) -> bool {
+        let woken = self.woken.lock().expect("wakeup lock");
+        let (mut woken, _) = self
+            .cv
+            .wait_timeout_while(woken, timeout, |woken| !*woken)
+            .expect("wakeup lock");
+        std::mem::take(&mut *woken)
+    }
+
+    /// Sleeps until the next notification or `timeout`, leaving the flag
+    /// for the poller's [`Wakeup::take`].
+    fn nap(&self, timeout: Duration) {
+        let woken = self.woken.lock().expect("wakeup lock");
+        let _ = self.cv.wait_timeout(woken, timeout).expect("wakeup lock");
+    }
+}
 
 /// How long a drain waits for workers to go idle before answering anyway.
 const DRAIN_GRACE: Duration = Duration::from_secs(30);
@@ -293,12 +328,11 @@ struct State {
     retry_after_secs: u64,
     bound_addr: SocketAddr,
     campaigns: Mutex<HashMap<String, CampaignInfo>>,
-    /// Notified on every worker progress event and status change; the
-    /// follower poller waits on it (with [`FOLLOW_POLL`] as backstop).
-    progress: Condvar,
-    /// Paired with [`State::progress`]; holds no data — the campaign map
+    /// Notified on every worker progress event, status change and new
+    /// follower; the follower poller waits on it (with [`FOLLOW_POLL`] as
+    /// backstop). Its lock guards only the wake-up flag — the campaign map
     /// has its own lock so followers never serialize against submitters.
-    progress_lock: Mutex<()>,
+    progress: Wakeup,
     jobs: mpsc::Sender<Job>,
     /// Hand-off of freshly admitted streaming connections to the poller.
     followers: mpsc::Sender<Follower>,
@@ -346,8 +380,7 @@ impl State {
     }
 
     fn notify(&self) {
-        let _guard = self.progress_lock.lock().expect("progress lock");
-        self.progress.notify_all();
+        self.progress.notify();
     }
 
     /// Reserves a queue slot, failing when the queue is full — the
@@ -459,8 +492,7 @@ impl Server {
             retry_after_secs: config.retry_after.as_secs(),
             bound_addr,
             campaigns: Mutex::new(campaigns),
-            progress: Condvar::new(),
-            progress_lock: Mutex::new(()),
+            progress: Wakeup::default(),
             jobs,
             followers,
             queued: AtomicU64::new(0),
@@ -598,10 +630,10 @@ fn execute_campaign(state: &Arc<State>, job: &Job, token: &CancelToken) -> Resul
     let mut sink = JsonlSink::append(&state.store.rows_path(&job.id))?;
 
     state.stats.campaigns_run.fetch_add(1, Ordering::Relaxed);
-    state
-        .stats
-        .trials_executed
-        .fetch_add(job.spec.flatten().len() as u64, Ordering::Relaxed);
+    state.stats.trials_executed.fetch_add(
+        job.spec.trial_count().unwrap_or_default() as u64,
+        Ordering::Relaxed,
+    );
 
     let notifier = Arc::clone(state);
     let outcome = CampaignRunner::new(job.spec.clone())
@@ -994,11 +1026,7 @@ fn post_drain(state: &Arc<State>, stream: &mut TcpStream, exit: bool) -> io::Res
     // between grid points, so this is quick in practice).
     let deadline = Instant::now() + DRAIN_GRACE;
     while state.in_flight() > 0 && Instant::now() < deadline {
-        let guard = state.progress_lock.lock().expect("progress lock");
-        let _ = state
-            .progress
-            .wait_timeout(guard, FOLLOW_POLL)
-            .expect("progress lock");
+        state.progress.nap(FOLLOW_POLL);
     }
     let idle = state.in_flight() == 0;
 
@@ -1040,7 +1068,7 @@ fn get_status(state: &Arc<State>, stream: &mut TcpStream, id: &str) -> io::Resul
         json_string(info.status.token()),
         json_string(&spec_hash(&info.spec)),
         info.spec.seed,
-        info.spec.flatten().len(),
+        info.spec.trial_count().unwrap_or_default(),
     );
     write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())
 }
@@ -1210,13 +1238,7 @@ fn stream_rows(state: &Arc<State>, stream: TcpStream, id: &str, cache: &str) -> 
 fn poller_loop(state: &Arc<State>, incoming: &mpsc::Receiver<Follower>) {
     let mut followers: Vec<Follower> = Vec::new();
     loop {
-        {
-            let guard = state.progress_lock.lock().expect("progress lock");
-            let _ = state
-                .progress
-                .wait_timeout(guard, FOLLOW_POLL)
-                .expect("progress lock");
-        }
+        state.progress.take(FOLLOW_POLL);
         loop {
             match incoming.try_recv() {
                 Ok(follower) => followers.push(follower),
@@ -1313,4 +1335,20 @@ fn frame_chunk(out: &mut Vec<u8>, data: &[u8]) {
     out.extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
     out.extend_from_slice(data);
     out.extend_from_slice(b"\r\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_notify_before_the_wait_is_not_lost() {
+        let wakeup = Wakeup::default();
+        wakeup.notify();
+        let start = Instant::now();
+        assert!(wakeup.take(Duration::from_secs(30)), "notification lost");
+        assert!(start.elapsed() < Duration::from_secs(10), "waited it out");
+        // The notification is consumed: the next wait times out.
+        assert!(!wakeup.take(Duration::from_millis(1)));
+    }
 }

@@ -233,7 +233,7 @@ impl Store {
     /// last, after every row is on disk — the marker's existence is the
     /// completion contract, so the rows file is fsynced first, its
     /// checksum is recorded in the marker, and the marker lands via
-    /// [`write_atomic`].
+    /// `write_atomic`.
     ///
     /// # Errors
     ///

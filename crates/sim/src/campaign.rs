@@ -125,45 +125,6 @@ impl<C: EmtCodec> WordStorage for ProtectedStorage<'_, C> {
     }
 }
 
-/// Adapter exposing a clean [`ProtectedMemory`] plus per-trial fault
-/// planes as application storage for a *batched* pass: reads go through
-/// [`ProtectedMemory::read_batch`] (decoding every lane and evicting
-/// divergent trials), writes through the shared clean write. Block
-/// accesses use the per-word `WordStorage` defaults, which produce
-/// statistics identical to `ProtectedMemory`'s own block paths.
-pub struct BatchProtectedStorage<'a, C: EmtCodec = AnyCodec> {
-    mem: &'a mut ProtectedMemory<C>,
-    faults: &'a BatchFaultPlanes,
-    batch: &'a mut TrialBatch,
-}
-
-impl<'a, C: EmtCodec> BatchProtectedStorage<'a, C> {
-    /// Wraps a clean memory, the batch's fault planes, and its lane state.
-    pub fn new(
-        mem: &'a mut ProtectedMemory<C>,
-        faults: &'a BatchFaultPlanes,
-        batch: &'a mut TrialBatch,
-    ) -> Self {
-        BatchProtectedStorage { mem, faults, batch }
-    }
-}
-
-impl<C: EmtCodec> WordStorage for BatchProtectedStorage<'_, C> {
-    fn len(&self) -> usize {
-        self.mem.words()
-    }
-
-    #[inline]
-    fn read(&mut self, addr: usize) -> i16 {
-        self.mem.read_batch(addr, self.faults, self.batch)
-    }
-
-    #[inline]
-    fn write(&mut self, addr: usize, value: i16) {
-        self.mem.write_batch(addr, value)
-    }
-}
-
 /// One aggregated read event of a clean pass: while the stored code at
 /// `addr` was `code` (side word `side`), the clean pass read the address
 /// `count` times, decoding `word` with `outcome`.
@@ -182,13 +143,14 @@ struct TraceEvent {
 /// repeat count, plus the pass's output and access statistics.
 ///
 /// The trace depends only on (EMT, app, record) — never on the fault draw
-/// — so one recording serves every batched group of a campaign,
-/// [`CleanTrace::replay`]ing against each group's fault planes instead of
-/// re-running the application. Aggregating events (dropping read order)
-/// is sound because the batched pass's observables are order-independent:
-/// a lane's final eviction only asks whether *any* read diverged, and
-/// survivor deltas accumulate over *all* reads the lane corrupts —
-/// evicted lanes' deltas are never consumed.
+/// — so one recording serves every batched group of a campaign, each
+/// group replaying it against its own fault planes
+/// ([`EmtMemory::replay_trace`]) instead of re-running the application.
+/// This record-once, replay-per-group pass is the only batched pass.
+/// Aggregating events (dropping read order) is sound because the replay's
+/// observables are order-independent: a lane's final eviction only asks
+/// whether *any* read diverged, and survivor deltas accumulate over *all*
+/// reads the lane corrupts — evicted lanes' deltas are never consumed.
 pub struct CleanTrace {
     events: Vec<TraceEvent>,
     output: Vec<i16>,
@@ -199,8 +161,9 @@ impl CleanTrace {
     /// Records `app` running over `input` on the fault-free `mem`
     /// (reset by the caller), capturing the stored code behind every read.
     ///
-    /// Block accesses go through the per-word `WordStorage` defaults, so
-    /// the recorded statistics are identical to a batched clean pass's.
+    /// Block accesses go through the per-word `WordStorage` defaults,
+    /// which count exactly as `ProtectedMemory`'s block paths do, so the
+    /// recorded statistics equal a fault-free scalar trial's.
     fn record<C: EmtCodec>(
         mem: &mut ProtectedMemory<C>,
         app: &dyn BiomedicalApp,
@@ -282,9 +245,8 @@ impl CleanTrace {
     /// Replays this trace against one batched group's fault planes:
     /// every event some still-alive lane corrupts is overlaid and decoded
     /// for all lanes at once, evicting diverged lanes and accumulating
-    /// survivor deltas into `batch` — the exact bookkeeping a full
-    /// batched application pass would have produced, at the cost of the
-    /// dirty events only. Returns as soon as no lane is alive.
+    /// survivor deltas into `batch` — at the cost of the dirty events
+    /// only. Returns as soon as no lane is alive.
     ///
     /// `lanes` restricts the replay to a subset of the batch: only those
     /// lanes are decoded, evicted, or credited. This is what lets one
@@ -345,7 +307,7 @@ struct RawEvent {
 /// (`decode(encode(w)) == (w, Clean)` — pinned by the exhaustive codec
 /// tests), so the application's clean dynamics do not depend on the EMT:
 /// one raw recording per (app, record) yields the [`CleanTrace`] of
-/// *every* EMT via [`CleanTrace::derive`], re-encoding each distinct word
+/// *every* EMT via [`EmtMemory::derive_trace`], re-encoding each distinct word
 /// instead of re-running the application four times.
 ///
 /// The one case where dynamics *would* diverge is a read of a
@@ -561,30 +523,6 @@ impl EmtMemory {
         }
     }
 
-    /// [`EmtMemory::run_app`] for a batched pass: this memory plays the
-    /// clean trial, `faults` carries one lane per batched trial, and
-    /// `batch` tracks divergence and per-lane statistics deltas. The
-    /// returned output is the clean pass's — by the divergence rule it is
-    /// also every surviving lane's output.
-    pub fn run_app_batch(
-        &mut self,
-        app: &dyn BiomedicalApp,
-        input: &[i16],
-        faults: &BatchFaultPlanes,
-        batch: &mut TrialBatch,
-    ) -> Vec<i16> {
-        match self {
-            EmtMemory::None(m) => app.run(input, &mut BatchProtectedStorage::new(m, faults, batch)),
-            EmtMemory::Parity(m) => {
-                app.run(input, &mut BatchProtectedStorage::new(m, faults, batch))
-            }
-            EmtMemory::Dream(m) => {
-                app.run(input, &mut BatchProtectedStorage::new(m, faults, batch))
-            }
-            EmtMemory::Ecc(m) => app.run(input, &mut BatchProtectedStorage::new(m, faults, batch)),
-        }
-    }
-
     /// Runs `app` once on this (fault-free, freshly reset) memory and
     /// records its [`CleanTrace`] — the pass every batched group of the
     /// campaign then [`EmtMemory::replay_trace`]s instead of re-running.
@@ -612,9 +550,11 @@ impl EmtMemory {
     }
 
     /// Replays a recorded clean pass against one batched group's fault
-    /// planes (see [`CleanTrace`]): `batch` ends up with exactly the
-    /// eviction set and survivor deltas a full
-    /// [`EmtMemory::run_app_batch`] over the same planes would produce.
+    /// planes (see [`CleanTrace`]): a lane whose scalar trial would read a
+    /// word other than the clean pass's is evicted from `batch` (as is
+    /// every lane left when the batch bails out), and a survivor's
+    /// [`TrialBatch::lane_stats`] over [`CleanTrace::stats`] equals that
+    /// trial's statistics.
     /// `lanes` masks the replay to the sub-group that drew this trace's
     /// record (`u64::MAX` for a whole single-record group).
     pub fn replay_trace(
@@ -712,52 +652,114 @@ mod tests {
         assert_eq!(out, vec![7, -8, 9]);
     }
 
+    /// Runs `app` on `mem` like [`EmtMemory::run_app`], additionally
+    /// logging every `(address, word)` the application reads.
+    fn run_logged(
+        mem: &mut EmtMemory,
+        app: &dyn BiomedicalApp,
+        input: &[i16],
+    ) -> (Vec<i16>, Vec<(usize, i16)>) {
+        struct Logging<'a> {
+            inner: &'a mut dyn WordStorage,
+            reads: Vec<(usize, i16)>,
+        }
+        impl WordStorage for Logging<'_> {
+            fn len(&self) -> usize {
+                self.inner.len()
+            }
+
+            fn read(&mut self, addr: usize) -> i16 {
+                let word = self.inner.read(addr);
+                self.reads.push((addr, word));
+                word
+            }
+
+            fn write(&mut self, addr: usize, value: i16) {
+                self.inner.write(addr, value);
+            }
+        }
+        let run = |inner: &mut dyn WordStorage| {
+            let mut logging = Logging {
+                inner,
+                reads: Vec::new(),
+            };
+            let out = app.run(input, &mut logging);
+            (out, logging.reads)
+        };
+        match mem {
+            EmtMemory::None(m) => run(&mut ProtectedStorage::new(m)),
+            EmtMemory::Parity(m) => run(&mut ProtectedStorage::new(m)),
+            EmtMemory::Dream(m) => run(&mut ProtectedStorage::new(m)),
+            EmtMemory::Ecc(m) => run(&mut ProtectedStorage::new(m)),
+        }
+    }
+
     #[test]
-    fn trace_replay_matches_full_batched_pass() {
-        // The compressed clean trace must reproduce a full batched
-        // application pass exactly: same clean output and stats, same
-        // eviction set, same survivor deltas — for every codec, on fault
-        // planes dense enough to evict some lanes and spare others.
+    fn trace_replay_matches_per_lane_scalar_trials() {
+        // Replaying a clean trace must reproduce every lane's own scalar
+        // trial: a lane survives iff its read sequence equals the clean
+        // pass's, and a survivor's output and statistics are the clean
+        // output and its lane_stats — for every codec, on fault maps dense
+        // enough to evict some lanes and spare others.
         let app = dream_dsp::AppKind::Dwt.instantiate(256);
         let geometry = banked_geometry(app.memory_words());
         let samples = record_suite(256, 1)[0].samples.clone();
         let lanes = 8;
+        let maps: Vec<FaultMap> = (0..lanes)
+            .map(|lane| {
+                let ber = 0.0005 * (lane + 1) as f64;
+                FaultMap::generate(geometry.words(), 22, ber, 40 + lane as u64)
+            })
+            .collect();
         let mut planes = BatchFaultPlanes::new(geometry.words(), 22);
-        for lane in 0..lanes {
-            let ber = 0.0005 * (lane + 1) as f64;
-            let map = dream_mem::FaultMap::generate(geometry.words(), 22, ber, 40 + lane as u64);
-            planes.add_lane(lane, &map, None);
+        for (lane, map) in maps.iter().enumerate() {
+            planes.add_lane(lane, map, None);
         }
         let empty = FaultMap::empty(geometry.words(), 22);
+        let even = 0x5555_5555_5555_5555u64;
         let mut survived = 0;
         let mut evicted = 0;
         for kind in EmtKind::all() {
             let mut mem = EmtMemory::new(kind, geometry);
             mem.reset_with_fault_map(&empty);
-            let mut full = TrialBatch::new(lanes);
-            let out = mem.run_app_batch(&*app, &samples, &planes, &mut full);
-            let full_stats = mem.stats();
-
-            mem.reset_with_fault_map(&empty);
             let trace = mem.record_trace(&*app, &samples);
-            assert_eq!(trace.output(), &out[..], "{kind}: clean output");
-            assert_eq!(trace.stats(), full_stats, "{kind}: clean stats");
             assert!(trace.events() > 0, "{kind}: trace must not be empty");
+            mem.reset_with_fault_map(&empty);
+            let (clean_out, clean_reads) = run_logged(&mut mem, &*app, &samples);
+            assert_eq!(trace.output(), &clean_out[..], "{kind}: clean output");
+            assert_eq!(trace.stats(), mem.stats(), "{kind}: clean stats");
 
-            let mut replayed = TrialBatch::new(lanes);
-            mem.replay_trace(&trace, &planes, &mut replayed, u64::MAX);
-            assert_eq!(replayed.alive(), full.alive(), "{kind}: eviction set");
-            for lane in 0..lanes {
-                if replayed.is_alive(lane) {
+            let mut batch = TrialBatch::new(lanes);
+            mem.replay_trace(&trace, &planes, &mut batch, u64::MAX);
+            for (lane, map) in maps.iter().enumerate() {
+                mem.reset_with_fault_map(map);
+                let (out, reads) = run_logged(&mut mem, &*app, &samples);
+                assert_eq!(
+                    batch.is_alive(lane),
+                    reads == clean_reads,
+                    "{kind} lane {lane}: survival iff the scalar reads match"
+                );
+                if batch.is_alive(lane) {
                     survived += 1;
+                    assert_eq!(out, trace.output(), "{kind} lane {lane}: output");
                     assert_eq!(
-                        replayed.lane_stats(lane, &trace.stats()),
-                        full.lane_stats(lane, &full_stats),
-                        "{kind} lane {lane}: survivor deltas"
+                        batch.lane_stats(lane, &trace.stats()),
+                        mem.stats(),
+                        "{kind} lane {lane}: survivor statistics"
                     );
                 } else {
                     evicted += 1;
                 }
+            }
+
+            // A masked replay touches only its lanes: the odd lanes stay
+            // alive with zero deltas, the even ones match the full replay.
+            let mut masked = TrialBatch::new(lanes);
+            mem.replay_trace(&trace, &planes, &mut masked, even);
+            assert_eq!(masked.alive() & even, batch.alive() & even, "{kind}");
+            for lane in (1..lanes).step_by(2) {
+                assert!(masked.is_alive(lane), "{kind} lane {lane}: masked out");
+                assert_eq!(masked.lane_stats(lane, &trace.stats()), trace.stats());
             }
         }
         // The fixed seeds must exercise both outcomes of the rule.

@@ -12,7 +12,7 @@
 
 use std::io;
 
-use dream_core::{EmtKind, TrialBatch};
+use dream_core::{AccessStats, EmtKind, TrialBatch};
 use dream_dsp::{samples_to_f64, snr_db, AppKind, BiomedicalApp};
 use dream_ecg::Record;
 use dream_energy::EnergyBreakdown;
@@ -217,6 +217,82 @@ pub(crate) fn run_campaign(
 }
 
 // ---------------------------------------------------------------------------
+// Clean passes: recorded once, replayed by every batched group of both
+// Monte-Carlo families.
+// ---------------------------------------------------------------------------
+
+/// One memoized clean pass: the aggregated read trace of an (EMT, app,
+/// record) triple on fault-free memory, plus its capped reference SNR.
+///
+/// The clean pass depends on none of a grid point's knobs — not the
+/// voltage, not the fault model, not the trial index, not the injected
+/// bit — so a campaign records each triple once and every batched group
+/// replays the trace instead of re-running the application.
+struct CleanPass {
+    trace: CleanTrace,
+    snr: f64,
+}
+
+/// Clean passes indexed `[emt][app][record]`.
+type CleanPasses = Vec<Vec<Vec<CleanPass>>>;
+
+/// The clean-pass recorder of both batched families: records every
+/// (EMT, app, record) triple over the first `used` records on
+/// fault-free memory of `geometry`, in parallel over the trial executor.
+/// `references` is indexed `[app][record]`.
+fn record_clean_passes(
+    apps: &[Box<dyn BiomedicalApp>],
+    emts: &[EmtKind],
+    geometry: MemGeometry,
+    records: &[Record],
+    used: usize,
+    references: &[Vec<Vec<f64>>],
+    cancel: Option<&CancelToken>,
+) -> Result<CleanPasses, exec::Cancelled> {
+    // One codec-agnostic raw pass per (app, record): on fault-free memory
+    // the application's dynamics do not depend on the EMT (every codec
+    // round-trips written words — see [`RawTrace`]), so the expensive
+    // application runs happen apps × records times and each EMT's trace is
+    // derived by re-encoding, not re-running.
+    let pairs: Vec<(usize, usize)> = (0..apps.len())
+        .flat_map(|ai| (0..used).map(move |ri| (ai, ri)))
+        .collect();
+    let raws = exec::run_trials_cancellable(
+        &pairs,
+        || (),
+        |(), &(ai, ri), _| RawTrace::record(&*apps[ai], &records[ri].samples, geometry.words()),
+        cancel,
+    )?;
+    // Derivation is cheap (one encode per distinct word); an app that read
+    // a never-written address (`None` — codec-dependent virgin decode)
+    // falls back to direct per-EMT recording, trading speed for exactness.
+    let empty = FaultMap::empty(geometry.words(), SHARED_MAP_WIDTH);
+    let mut passes: CleanPasses = Vec::with_capacity(emts.len());
+    for &emt in emts {
+        let mut mem = EmtMemory::new(emt, geometry);
+        let mut per_app = Vec::with_capacity(apps.len());
+        for (ai, app) in apps.iter().enumerate() {
+            let mut per_record = Vec::with_capacity(used);
+            for ri in 0..used {
+                let trace = match &raws[ai * used + ri] {
+                    Some(raw) => mem.derive_trace(raw),
+                    None => {
+                        mem.reset_with_fault_map(&empty);
+                        mem.record_trace(&**app, &records[ri].samples)
+                    }
+                };
+                let snr = cap_snr(snr_db(&references[ai][ri], &samples_to_f64(trace.output())));
+                telemetry::record_trace();
+                per_record.push(CleanPass { trace, snr });
+            }
+            per_app.push(per_record);
+        }
+        passes.push(per_app);
+    }
+    Ok(passes)
+}
+
+// ---------------------------------------------------------------------------
 // Fig. 2 family: single-cell stuck-at injections over a bit-position grid.
 // ---------------------------------------------------------------------------
 
@@ -251,77 +327,86 @@ struct InjectionTrial {
     trial: usize,
 }
 
+/// Trial-invariant inputs of one app's injection batches: the app, its
+/// footprint and banked geometry, the record suite and the app's
+/// references.
+struct InjectionCtx<'a> {
+    sc: &'a Scenario,
+    app: &'a dyn BiomedicalApp,
+    words: usize,
+    geometry: MemGeometry,
+    records: &'a [Record],
+    references: &'a [Vec<f64>],
+}
+
+impl InjectionCtx<'_> {
+    /// The word holding `t`'s faulty cell: a deterministic pseudo-random
+    /// location in the app's buffer footprint. It depends only on
+    /// (record, trial) — not on the bit or polarity — so the bit axis is
+    /// a paired comparison, as when profiling one physical die.
+    fn fault_word(&self, t: &InjectionTrial) -> usize {
+        (fault_seed(self.sc.seed, t.record, t.trial) % self.words as u64) as usize
+    }
+
+    /// A worker's trial scratch: a memory protected by `emt` and a fault
+    /// map `width` bits wide.
+    fn scratch(&self, emt: EmtKind, width: u32) -> (EmtMemory, FaultMap) {
+        let map = FaultMap::empty(self.geometry.words(), width);
+        (EmtMemory::new(emt, self.geometry), map)
+    }
+
+    /// The scalar injection trial: one stuck cell, a full application
+    /// run, the capped SNR. The scalar path runs every trial through it;
+    /// the batched path runs the lanes its trace replay evicted.
+    fn trial(&self, t: &InjectionTrial, mem: &mut EmtMemory, map: &mut FaultMap) -> f64 {
+        map.clear();
+        map.inject(self.fault_word(t), t.bit, t.stuck);
+        mem.reset_with_fault_map(map);
+        let out = mem.run_app(self.app, &self.records[t.record].samples);
+        cap_snr(snr_db(&self.references[t.record], &samples_to_f64(&out)))
+    }
+}
+
 /// Bit-sliced execution of one (app, EMT) injection batch: trials sharing
-/// a record ride one clean pass in lanes of up to [`MAX_LANES`]; lanes
-/// whose decode ever diverges from the clean word are replayed on the
-/// scalar path, so the returned SNR vector (in `trials` order) is
-/// bit-identical to the scalar branch by construction.
-#[allow(clippy::too_many_arguments)]
+/// a record replay that record's clean pass (`passes`, indexed by record)
+/// in lanes of up to [`MAX_LANES`]; lanes whose decode ever diverges from
+/// the clean word run [`InjectionCtx::trial`], so the returned SNR vector
+/// (in `trials` order) is bit-identical to the scalar branch by
+/// construction.
 fn injection_snrs_batched(
-    sc: &Scenario,
+    ctx: &InjectionCtx,
     trials: &[InjectionTrial],
-    app_kind: AppKind,
     emt: EmtKind,
     width: u32,
-    records: &[Record],
-    references: &[Vec<f64>],
+    passes: &[CleanPass],
     exec: &ExecConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<f64>, exec::Cancelled> {
-    // One clean pass per record, shared by every lane group of this
-    // (app, EMT): groups replay the trace instead of re-running the app.
-    let passes: Vec<CleanPass> = {
-        let app = app_kind.instantiate(sc.window);
-        let geometry = banked_geometry(app.memory_words());
-        let mut mem = EmtMemory::new(emt, geometry);
-        let map = FaultMap::empty(geometry.words(), width);
-        records
-            .iter()
-            .enumerate()
-            .map(|(ri, record)| {
-                mem.reset_with_fault_map(&map);
-                let trace = mem.record_trace(&*app, &record.samples);
-                let snr = cap_snr(snr_db(&references[ri], &samples_to_f64(trace.output())));
-                telemetry::record_trace();
-                CleanPass { trace, snr }
-            })
-            .collect()
-    };
     // Lanes must share their clean pass, so group by record and chunk to
     // the lane budget. Scheduling granularity changes; values don't.
-    let mut by_record: Vec<Vec<(usize, InjectionTrial)>> = vec![Vec::new(); records.len()];
+    let mut by_record: Vec<Vec<(usize, InjectionTrial)>> = vec![Vec::new(); ctx.records.len()];
     for (i, t) in trials.iter().enumerate() {
         by_record[t.record].push((i, *t));
     }
-    let groups: Vec<Vec<(usize, InjectionTrial)>> = by_record
+    let groups: Vec<&[(usize, InjectionTrial)]> = by_record
         .iter()
-        .flat_map(|lanes| lanes.chunks(MAX_LANES).map(<[_]>::to_vec))
+        .flat_map(|lanes| lanes.chunks(MAX_LANES))
         .collect();
     let scratch = || {
-        let app = app_kind.instantiate(sc.window);
-        let words = app.memory_words();
-        let geometry = banked_geometry(words);
-        let mem = EmtMemory::new(emt, geometry);
-        let map = FaultMap::empty(geometry.words(), width);
-        let planes = BatchFaultPlanes::new(geometry.words(), width);
-        (app, mem, map, planes, words)
+        let planes = BatchFaultPlanes::new(ctx.geometry.words(), width);
+        (ctx.scratch(emt, width), planes)
     };
     let per_group = exec::run_trials_cancellable(
         &groups,
         scratch,
-        |(app, mem, map, planes, words), group, _| {
-            let record = group[0].1.record;
+        |((mem, map), planes), group, _| {
+            let pass = &passes[group[0].1.record];
             planes.clear();
             for (lane, (_, t)) in group.iter().enumerate() {
-                // Same location derivation as the scalar path below.
-                let seed = fault_seed(sc.seed, t.record, t.trial);
-                let word = (seed % *words as u64) as usize;
-                planes.inject(lane, word, t.bit, t.stuck);
+                planes.inject(lane, ctx.fault_word(t), t.bit, t.stuck);
             }
-            let pass = &passes[record];
             let mut batch = TrialBatch::with_bailout(group.len(), exec.bailout);
             mem.replay_trace(&pass.trace, planes, &mut batch, u64::MAX);
-            let clean_snr = pass.snr;
             let bailed = batch.bailed().count_ones();
             telemetry::record_batch_pass(
                 group.len(),
@@ -331,20 +416,14 @@ fn injection_snrs_batched(
             group
                 .iter()
                 .enumerate()
-                .map(|(lane, &(i, t))| {
+                .map(|(lane, (i, t))| {
+                    // A survivor's trace is the clean trace.
                     let snr = if batch.is_alive(lane) {
-                        // Survivor: its trace is the clean trace.
-                        clean_snr
+                        pass.snr
                     } else {
-                        let seed = fault_seed(sc.seed, t.record, t.trial);
-                        let word = (seed % *words as u64) as usize;
-                        map.clear();
-                        map.inject(word, t.bit, t.stuck);
-                        mem.reset_with_fault_map(map);
-                        let out = mem.run_app(&**app, &records[record].samples);
-                        cap_snr(snr_db(&references[record], &samples_to_f64(&out)))
+                        ctx.trial(t, mem, map)
                     };
-                    (i, snr)
+                    (*i, snr)
                 })
                 .collect::<Vec<_>>()
         },
@@ -368,29 +447,60 @@ fn run_injection(
     let headers = injection_headers(sc);
     sink.begin(&headers)?;
 
+    // The (stuck, bit) grid points in row order. Every (app, EMT) batch
+    // runs the same trial list — the historical Fig. 2 nested-loop order,
+    // flattened — in which each point owns a contiguous records × trials
+    // chunk.
+    let points: Vec<(StuckAt, u32)> = [StuckAt::Zero, StuckAt::One]
+        .into_iter()
+        .flat_map(|stuck| bits.iter().map(move |&bit| (stuck, bit)))
+        .collect();
+    let mut trials = Vec::new();
+    for &(stuck, bit) in &points {
+        for record in 0..records.len() {
+            for trial in 0..sc.trials {
+                trials.push(InjectionTrial {
+                    stuck,
+                    bit,
+                    record,
+                    trial,
+                });
+            }
+        }
+    }
+    let runs_per_point = records.len() * sc.trials;
+
     let mut typed = Vec::new();
     let mut rendered = Vec::new();
     for &app_kind in &sc.apps {
         let app = app_kind.instantiate(sc.window);
         let references = reference_outputs(&*app, &records);
-        for &emt in &sc.emts {
-            // One batch per (app, EMT): the historical Fig. 2 nested-loop
-            // order, flattened.
-            let mut trials = Vec::new();
-            for stuck in [StuckAt::Zero, StuckAt::One] {
-                for &bit in bits {
-                    for record in 0..records.len() {
-                        for trial in 0..sc.trials {
-                            trials.push(InjectionTrial {
-                                stuck,
-                                bit,
-                                record,
-                                trial,
-                            });
-                        }
-                    }
-                }
-            }
+        let words = app.memory_words();
+        let ctx = InjectionCtx {
+            sc,
+            app: &*app,
+            words,
+            geometry: banked_geometry(words),
+            records: &records,
+            references: &references,
+        };
+        // One clean pass per (EMT, record), shared by every lane group of
+        // the app's batches: groups replay the trace instead of re-running
+        // the app.
+        let clean = if exec.batch {
+            Some(record_clean_passes(
+                std::slice::from_ref(&app),
+                &sc.emts,
+                ctx.geometry,
+                &records,
+                records.len(),
+                std::slice::from_ref(&references),
+                cancel,
+            )?)
+        } else {
+            None
+        };
+        for (ei, &emt) in sc.emts.iter().enumerate() {
             // Unprotected sweeps keep the historical 16-bit map; mixed-EMT
             // sweeps inject into the shared 22-bit codeword space.
             let width = if emt == EmtKind::None {
@@ -398,66 +508,30 @@ fn run_injection(
             } else {
                 SHARED_MAP_WIDTH
             };
-            let snrs = if exec.batch {
-                injection_snrs_batched(
-                    sc,
+            let snrs = match &clean {
+                Some(passes) => {
+                    injection_snrs_batched(&ctx, &trials, emt, width, &passes[ei][0], exec, cancel)?
+                }
+                None => exec::run_trials_cancellable(
                     &trials,
-                    app_kind,
-                    emt,
-                    width,
-                    &records,
-                    &references,
-                    exec,
+                    || ctx.scratch(emt, width),
+                    |(mem, map), t, _| ctx.trial(t, mem, map),
                     cancel,
-                )?
-            } else {
-                let scratch = || {
-                    let app = app_kind.instantiate(sc.window);
-                    let words = app.memory_words();
-                    let geometry = banked_geometry(words);
-                    let mem = EmtMemory::new(emt, geometry);
-                    let map = FaultMap::empty(geometry.words(), width);
-                    (app, mem, map, words)
-                };
-                exec::run_trials_cancellable(
-                    &trials,
-                    scratch,
-                    |(app, mem, map, words), t, _| {
-                        // One faulty cell at a deterministic pseudo-random
-                        // location in the app's buffer footprint. The location
-                        // depends only on (record, trial) — not on the bit or
-                        // polarity — so the bit axis is a paired comparison, as
-                        // when profiling one physical die.
-                        let seed = fault_seed(sc.seed, t.record, t.trial);
-                        let word = (seed % *words as u64) as usize;
-                        map.clear();
-                        map.inject(word, t.bit, t.stuck);
-                        mem.reset_with_fault_map(map);
-                        let out = mem.run_app(&**app, &records[t.record].samples);
-                        cap_snr(snr_db(&references[t.record], &samples_to_f64(&out)))
-                    },
-                    cancel,
-                )?
+                )?,
             };
             // Per-point averages, each over its contiguous chunk in trial
             // order (bit-exact with the historical serial reduction).
-            let runs_per_point = records.len() * sc.trials;
             let mut batch = Vec::new();
-            let mut next = 0usize;
-            for stuck in [StuckAt::Zero, StuckAt::One] {
-                for &bit in bits {
-                    let point = &snrs[next..next + runs_per_point];
-                    next += runs_per_point;
-                    let row = InjectionRow {
-                        app: app_kind,
-                        emt,
-                        stuck,
-                        bit,
-                        snr_db: point.iter().sum::<f64>() / runs_per_point as f64,
-                    };
-                    batch.push(injection_render(sc, &row));
-                    typed.push(row);
-                }
+            for (&(stuck, bit), point) in points.iter().zip(snrs.chunks(runs_per_point)) {
+                let row = InjectionRow {
+                    app: app_kind,
+                    emt,
+                    stuck,
+                    bit,
+                    snr_db: point.iter().sum::<f64>() / runs_per_point as f64,
+                };
+                batch.push(injection_render(sc, &row));
+                typed.push(row);
             }
             sink.emit(&batch)?;
             rendered.extend(batch);
@@ -483,94 +557,93 @@ struct Cell {
     corrected: f64,
 }
 
-/// One memoized clean pass: the aggregated read trace of an (EMT, app,
-/// record) triple on fault-free memory, plus its capped reference SNR.
-///
-/// The clean pass depends on none of a grid point's knobs — not the
-/// voltage, not the fault model, not the trial index — so a draw sweep
-/// records each triple once and every batched group replays the trace
-/// instead of re-running the application.
-struct CleanPass {
-    trace: CleanTrace,
-    snr: f64,
+impl Cell {
+    /// A trial's cell: its capped SNR plus the fractions of reads the
+    /// decoder flagged uncorrectable and corrected.
+    fn new(snr_db: f64, stats: &AccessStats) -> Cell {
+        let (uncorrectable, corrected) = if stats.reads > 0 {
+            (
+                stats.uncorrectable_reads as f64 / stats.reads as f64,
+                stats.corrected_reads as f64 / stats.reads as f64,
+            )
+        } else {
+            (0.0, 0.0)
+        };
+        Cell {
+            snr_db,
+            uncorrectable,
+            corrected,
+        }
+    }
 }
 
-/// Clean passes indexed `[emt][app][record]`.
-type CleanPasses = Vec<Vec<Vec<CleanPass>>>;
+/// Double-precision reference outputs per (app, record).
+type References = Vec<Vec<Vec<f64>>>;
 
-/// Records the clean pass of every (EMT, app, record) triple a draw
-/// campaign will touch, in parallel over the trial executor.
-fn record_clean_passes(
-    sc: &Scenario,
-    records: &[Record],
-    references: &References,
+/// Point-invariant state of a draw sweep over one record suite: the apps,
+/// the geometry fitting the largest footprint, the records with their
+/// per-(app, record) references, and — on batched sweeps only — the
+/// memoized clean passes.
+struct DrawSuite {
+    apps: Vec<Box<dyn BiomedicalApp>>,
     geometry: MemGeometry,
+    records: Vec<Record>,
+    references: References,
+    clean: Option<CleanPasses>,
+}
+
+/// Builds the [`DrawSuite`] of `records`, shared by every grid point that
+/// draws over them.
+fn draw_suite(
+    sc: &Scenario,
+    records: Vec<Record>,
+    exec: &ExecConfig,
     cancel: Option<&CancelToken>,
-) -> Result<CleanPasses, exec::Cancelled> {
-    // Draw runs cycle the suite as `run % records.len()`, so a campaign
-    // with fewer trials than records never touches the tail — don't pay
-    // to record it (smoke-scale sweeps would otherwise spend more time
-    // recording unused traces than running trials).
-    let used = records.len().min(sc.trials.max(1));
-    // One codec-agnostic raw pass per (app, record): on fault-free memory
-    // the application's dynamics do not depend on the EMT (every codec
-    // round-trips written words — see [`RawTrace`]), so the expensive
-    // application runs happen apps × records times and each EMT's trace is
-    // derived by re-encoding, not re-running.
-    let mut pairs = Vec::new();
-    for ai in 0..sc.apps.len() {
-        for ri in 0..used {
-            pairs.push((ai, ri));
-        }
-    }
-    let scratch = || -> Vec<Box<dyn BiomedicalApp>> {
-        sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect()
-    };
-    let raws = exec::run_trials_cancellable(
-        &pairs,
-        scratch,
-        |apps, &(ai, ri), _| RawTrace::record(&*apps[ai], &records[ri].samples, geometry.words()),
-        cancel,
-    )?;
-    // Derivation is cheap (one encode per distinct word); an app that read
-    // a never-written address (`None` — codec-dependent virgin decode)
-    // falls back to direct per-EMT recording, trading speed for exactness.
-    let mut mems: Vec<EmtMemory> = sc
-        .emts
+) -> Result<DrawSuite, exec::Cancelled> {
+    let apps: Vec<Box<dyn BiomedicalApp>> =
+        sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect();
+    let max_words = apps
         .iter()
-        .map(|&emt| EmtMemory::new(emt, geometry))
+        .map(|a| a.memory_words())
+        .max()
+        .expect("validated: at least one app");
+    let geometry = banked_geometry(max_words);
+    let references: References = apps
+        .iter()
+        .map(|app| reference_outputs(&**app, &records))
         .collect();
-    let empty = FaultMap::empty(geometry.words(), SHARED_MAP_WIDTH);
-    let mut fallback_apps: Option<Vec<Box<dyn BiomedicalApp>>> = None;
-    let mut passes: CleanPasses = Vec::with_capacity(sc.emts.len());
-    for mem in &mut mems {
-        let mut per_app = Vec::with_capacity(sc.apps.len());
-        for ai in 0..sc.apps.len() {
-            let mut per_record = Vec::with_capacity(used);
-            for ri in 0..used {
-                let trace = match &raws[ai * used + ri] {
-                    Some(raw) => mem.derive_trace(raw),
-                    None => {
-                        let apps = fallback_apps.get_or_insert_with(scratch);
-                        mem.reset_with_fault_map(&empty);
-                        mem.record_trace(&*apps[ai], &records[ri].samples)
-                    }
-                };
-                let snr = cap_snr(snr_db(&references[ai][ri], &samples_to_f64(trace.output())));
-                telemetry::record_trace();
-                per_record.push(CleanPass { trace, snr });
-            }
-            per_app.push(per_record);
-        }
-        passes.push(per_app);
-    }
-    Ok(passes)
+    // One clean pass per (EMT, app, record), shared by every point of the
+    // suite: each additional grid point pays only faulty-delta work.
+    let clean = if exec.batch {
+        // Draw runs cycle the suite as `run % records.len()`, so a campaign
+        // with fewer trials than records never touches the tail — don't
+        // pay to record it (smoke-scale sweeps would otherwise spend more
+        // time recording unused traces than running trials).
+        let used = records.len().min(sc.trials.max(1));
+        Some(record_clean_passes(
+            &apps,
+            &sc.emts,
+            geometry,
+            &records,
+            used,
+            &references,
+            cancel,
+        )?)
+    } else {
+        None
+    };
+    Ok(DrawSuite {
+        apps,
+        geometry,
+        records,
+        references,
+        clean,
+    })
 }
 
 /// Point-invariant inputs of one Monte-Carlo draw batch: the resolved
-/// fault model, the calibration behind it, the record suite with its
-/// references, the shared geometry, and the campaign's execution settings
-/// and cancel token.
+/// fault model, the calibration behind it, the record suite, and the
+/// campaign's execution settings and cancel token.
 struct DrawCtx<'a> {
     /// The point-resolved [`FaultModel`]
     /// ([`crate::scenario::FaultModelSpec::resolve`] at the point's
@@ -578,14 +651,45 @@ struct DrawCtx<'a> {
     fault_model: &'a FaultModel,
     /// Feeds the per-bank-voltage model's ΔV→BER mapping.
     ber_model: &'a BerModel,
-    records: &'a [Record],
-    references: &'a [Vec<Vec<f64>>],
-    geometry: MemGeometry,
-    /// Memoized clean passes (batched sweeps only; `None` on the scalar
-    /// path, which recomputes nothing to begin with).
-    clean: Option<&'a CleanPasses>,
+    suite: &'a DrawSuite,
     exec: &'a ExecConfig,
     cancel: Option<&'a CancelToken>,
+}
+
+/// The logical→physical mapping of run `run` at grid point `point`, when
+/// the spec scrambles: a fresh mapping per (point, run) is the §V
+/// randomization that lets one die emulate many.
+fn run_scrambler(
+    sc: &Scenario,
+    geometry: MemGeometry,
+    point: usize,
+    run: usize,
+) -> Option<AddressScrambler> {
+    sc.scrambler_key
+        .map(|base| AddressScrambler::new(geometry.words(), fault_seed(base, point, run)))
+}
+
+/// The scalar draw trial of app `ai` on `mem` at `(point, run)`: re-arms
+/// the memory with the run's drawn `map` (and scrambler), runs the app on
+/// the run's record, and scores it. The scalar path runs every cell
+/// through it; the batched path runs the lanes its trace replay evicted.
+fn draw_trial(
+    sc: &Scenario,
+    suite: &DrawSuite,
+    point: usize,
+    run: usize,
+    ai: usize,
+    mem: &mut EmtMemory,
+    map: &FaultMap,
+) -> Cell {
+    let ri = run % suite.records.len();
+    mem.reset_with_fault_map(map);
+    if let Some(scrambler) = run_scrambler(sc, suite.geometry, point, run) {
+        mem.set_scrambler(scrambler);
+    }
+    let out = mem.run_app(&*suite.apps[ai], &suite.records[ri].samples);
+    let snr = cap_snr(snr_db(&suite.references[ai][ri], &samples_to_f64(&out)));
+    Cell::new(snr, &mem.stats())
 }
 
 /// Runs the draws of one grid point: `sc.trials` maps drawn by
@@ -596,138 +700,72 @@ fn draw_point(
     point: usize,
     ctx: &DrawCtx,
 ) -> Result<Vec<Vec<Cell>>, exec::Cancelled> {
-    if ctx.exec.batch {
-        return draw_point_batched(sc, point, ctx);
+    let suite = ctx.suite;
+    if let Some(clean) = &suite.clean {
+        return draw_point_batched(sc, point, ctx, clean);
     }
-    let DrawCtx {
-        fault_model,
-        ber_model,
-        records,
-        references,
-        geometry,
-        clean: _,
-        exec: _,
-        cancel,
-    } = *ctx;
+    let geometry = suite.geometry;
     let runs: Vec<usize> = (0..sc.trials).collect();
     let scratch = || {
-        let apps: Vec<Box<dyn BiomedicalApp>> =
-            sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect();
         let mems: Vec<EmtMemory> = sc
             .emts
             .iter()
             .map(|&emt| EmtMemory::new(emt, geometry))
             .collect();
         let map = FaultMap::empty(geometry.words(), SHARED_MAP_WIDTH);
-        (apps, mems, map)
+        (mems, map)
     };
     exec::run_trials_cancellable(
         &runs,
         scratch,
-        |(apps, mems, map), &run, _| {
+        |(mems, map), &run, _| {
             // Same seed across EMTs and apps => same fault map, as in the
             // paper; the wide map covers the widest codeword. `Iid` draws are
             // bit-identical to the historical `regenerate` call.
             let seed = fault_seed(sc.seed, point, run);
-            fault_model.arm(map, &geometry, ber_model, seed);
-            let record = &records[run % records.len()];
-            let mut cells = Vec::with_capacity(sc.emts.len() * apps.len());
+            ctx.fault_model.arm(map, &geometry, ctx.ber_model, seed);
+            let mut cells = Vec::with_capacity(sc.emts.len() * suite.apps.len());
             for mem in mems.iter_mut() {
-                for (ai, app) in apps.iter().enumerate() {
-                    mem.reset_with_fault_map(map);
-                    if let Some(base) = sc.scrambler_key {
-                        // Fresh logical→physical mapping per (point, run): the
-                        // §V randomization that lets one die emulate many.
-                        mem.set_scrambler(AddressScrambler::new(
-                            geometry.words(),
-                            fault_seed(base, point, run),
-                        ));
-                    }
-                    let out = mem.run_app(&**app, &record.samples);
-                    let snr = cap_snr(snr_db(
-                        &references[ai][run % records.len()],
-                        &samples_to_f64(&out),
-                    ));
-                    let stats = mem.stats();
-                    let (uncorrectable, corrected) = if stats.reads > 0 {
-                        (
-                            stats.uncorrectable_reads as f64 / stats.reads as f64,
-                            stats.corrected_reads as f64 / stats.reads as f64,
-                        )
-                    } else {
-                        (0.0, 0.0)
-                    };
-                    cells.push(Cell {
-                        snr_db: snr,
-                        uncorrectable,
-                        corrected,
-                    });
+                for ai in 0..suite.apps.len() {
+                    cells.push(draw_trial(sc, suite, point, run, ai, mem, map));
                 }
             }
             cells
         },
-        cancel,
+        ctx.cancel,
     )
 }
 
-/// Bit-sliced variant of [`draw_point`]: runs ride memoized clean passes
-/// per (EMT, app) in lanes of up to [`MAX_LANES`]. Each lane's drawn
-/// fault map (scrambler included, resolved to logical addresses) is
-/// transposed into [`BatchFaultPlanes`]; with clean traces in hand a
-/// group freely mixes records — each record's trace replays on exactly
-/// the lanes that drew it — so even campaigns with few trials per record
-/// fill whole groups. Survivors take their record's clean SNR and their
-/// [`TrialBatch::lane_stats`] outcome counts, evicted lanes replay the
-/// ordinary scalar trial — so the returned cells, in the same
-/// (run, emt, app) order, are bit-identical to [`draw_point`]'s.
+/// Bit-sliced variant of [`draw_point`]: runs replay the memoized clean
+/// passes per (EMT, app) in lanes of up to [`MAX_LANES`]. Each lane's
+/// drawn fault map (scrambler included, resolved to logical addresses) is
+/// transposed into [`BatchFaultPlanes`]; a group freely mixes records —
+/// each record's trace replays on exactly the lanes that drew it — so
+/// even campaigns with few trials per record fill whole groups. Survivors
+/// take their record's clean SNR and their [`TrialBatch::lane_stats`]
+/// outcome counts, evicted lanes run [`draw_trial`] — so the returned
+/// cells, in the same (run, emt, app) order, are bit-identical to the
+/// scalar path's.
 fn draw_point_batched(
     sc: &Scenario,
     point: usize,
     ctx: &DrawCtx,
+    clean: &CleanPasses,
 ) -> Result<Vec<Vec<Cell>>, exec::Cancelled> {
-    let DrawCtx {
-        fault_model,
-        ber_model,
-        records,
-        references,
-        geometry,
-        clean,
-        exec,
-        cancel,
-    } = *ctx;
-    let groups: Vec<Vec<usize>> = if clean.is_some() {
-        // Trace replay feeds each lane exactly its own record's events
-        // (masked sub-replays share one plane transposition), so lanes
-        // need not share a record: chunk runs in order to the lane
-        // budget. Small campaigns fill whole groups instead of
-        // fragmenting into per-record slivers.
-        (0..sc.trials)
-            .collect::<Vec<_>>()
-            .chunks(MAX_LANES)
-            .map(<[_]>::to_vec)
-            .collect()
-    } else {
-        // Without memoized traces the clean pass *runs the app once* for
-        // the whole group, so lanes must share their record.
-        (0..records.len())
-            .flat_map(|r| {
-                let runs: Vec<usize> = (0..sc.trials)
-                    .filter(|run| run % records.len() == r)
-                    .collect();
-                runs.chunks(MAX_LANES)
-                    .map(<[_]>::to_vec)
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
+    let suite = ctx.suite;
+    let geometry = suite.geometry;
+    let n_records = suite.records.len();
+    // Trace replay feeds each lane exactly its own record's events (masked
+    // sub-replays share one plane transposition), so lanes need not share
+    // a record: chunk runs in order to the lane budget.
+    let runs: Vec<usize> = (0..sc.trials).collect();
+    let groups: Vec<&[usize]> = runs.chunks(MAX_LANES).collect();
     // One armed map per lane, reused by every evicted cell of the lane:
     // the scalar path arms once per run and shares the map across its
     // EMT × app cells, and re-arming per evicted cell would pay that
     // O(words · width) clear-and-sample up to EMTs × apps times over.
     let lane_budget = sc.trials.min(MAX_LANES);
     let scratch = || {
-        let apps: Vec<Box<dyn BiomedicalApp>> =
-            sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect();
         let mems: Vec<EmtMemory> = sc
             .emts
             .iter()
@@ -736,22 +774,18 @@ fn draw_point_batched(
         let maps: Vec<FaultMap> = (0..lane_budget)
             .map(|_| FaultMap::empty(geometry.words(), SHARED_MAP_WIDTH))
             .collect();
-        // Never armed: resets the memory fault-free for clean app passes.
-        let empty = FaultMap::empty(geometry.words(), SHARED_MAP_WIDTH);
         let planes = BatchFaultPlanes::new(geometry.words(), SHARED_MAP_WIDTH);
-        (apps, mems, maps, empty, planes)
+        (mems, maps, planes)
     };
     let per_group = exec::run_trials_cancellable(
         &groups,
         scratch,
-        |(apps, mems, maps, empty, planes), group, _| {
+        |(mems, maps, planes), group, _| {
             planes.clear();
-            // Lanes replaying the same record form one masked sub-group;
-            // single-record groups (the run_app_batch fallback) collapse
-            // to one part covering every lane.
+            // Lanes replaying the same record form one masked sub-group.
             let mut parts: Vec<(usize, u64)> = Vec::new();
             for (lane, &run) in group.iter().enumerate() {
-                let ri = run % records.len();
+                let ri = run % n_records;
                 match parts.iter_mut().find(|(r, _)| *r == ri) {
                     Some((_, lanes)) => *lanes |= 1 << lane,
                     None => parts.push((ri, 1 << lane)),
@@ -759,42 +793,23 @@ fn draw_point_batched(
                 // Same draw as the scalar path; the scrambler is folded
                 // into the planes so the clean pass needs none.
                 let seed = fault_seed(sc.seed, point, run);
-                fault_model.arm(&mut maps[lane], &geometry, ber_model, seed);
-                let scrambler = sc.scrambler_key.map(|base| {
-                    AddressScrambler::new(geometry.words(), fault_seed(base, point, run))
-                });
+                ctx.fault_model
+                    .arm(&mut maps[lane], &geometry, ctx.ber_model, seed);
+                let scrambler = run_scrambler(sc, geometry, point, run);
                 planes.add_lane(lane, &maps[lane], scrambler.as_ref());
             }
             let mut cells: Vec<Vec<Cell>> = group
                 .iter()
-                .map(|_| Vec::with_capacity(sc.emts.len() * apps.len()))
+                .map(|_| Vec::with_capacity(sc.emts.len() * suite.apps.len()))
                 .collect();
-            for (ei, mem) in mems.iter_mut().enumerate() {
-                for (ai, app) in apps.iter().enumerate() {
-                    let mut batch = TrialBatch::with_bailout(group.len(), exec.bailout);
-                    // Survivor baseline shared by every lane of a
-                    // single-record group; `None` when traces carry it
-                    // per record instead.
-                    let fallback = match clean {
-                        Some(passes) => {
-                            // Replay the memoized traces: only dirty
-                            // events pay plane work; the application
-                            // never runs.
-                            for &(ri, lanes) in &parts {
-                                let pass = &passes[ei][ai][ri];
-                                mem.replay_trace(&pass.trace, planes, &mut batch, lanes);
-                            }
-                            None
-                        }
-                        None => {
-                            let ri = group[0] % records.len();
-                            mem.reset_with_fault_map(empty);
-                            let out =
-                                mem.run_app_batch(&**app, &records[ri].samples, planes, &mut batch);
-                            let snr = cap_snr(snr_db(&references[ai][ri], &samples_to_f64(&out)));
-                            Some((snr, mem.stats()))
-                        }
-                    };
+            for (mem, per_app) in mems.iter_mut().zip(clean) {
+                for (ai, per_record) in per_app.iter().enumerate() {
+                    let mut batch = TrialBatch::with_bailout(group.len(), ctx.exec.bailout);
+                    // Only dirty events pay plane work; the application
+                    // never runs.
+                    for &(ri, lanes) in &parts {
+                        mem.replay_trace(&per_record[ri].trace, planes, &mut batch, lanes);
+                    }
                     let bailed = batch.bailed().count_ones();
                     telemetry::record_batch_pass(
                         group.len(),
@@ -802,60 +817,23 @@ fn draw_point_batched(
                         bailed,
                     );
                     for (lane, &run) in group.iter().enumerate() {
-                        let ri = run % records.len();
-                        let (snr, stats) = if batch.is_alive(lane) {
-                            let (clean_snr, clean_stats) = match (clean, fallback) {
-                                (Some(passes), _) => {
-                                    let pass = &passes[ei][ai][ri];
-                                    (pass.snr, pass.trace.stats())
-                                }
-                                (None, Some(shared)) => shared,
-                                (None, None) => unreachable!("fallback set on the app-run path"),
-                            };
-                            (clean_snr, batch.lane_stats(lane, &clean_stats))
+                        let cell = if batch.is_alive(lane) {
+                            let pass = &per_record[run % n_records];
+                            Cell::new(pass.snr, &batch.lane_stats(lane, &pass.trace.stats()))
                         } else {
-                            // Evicted: the ordinary scalar trial, verbatim
-                            // (the lane's map is already armed above).
-                            mem.reset_with_fault_map(&maps[lane]);
-                            if let Some(base) = sc.scrambler_key {
-                                mem.set_scrambler(AddressScrambler::new(
-                                    geometry.words(),
-                                    fault_seed(base, point, run),
-                                ));
-                            }
-                            let out = mem.run_app(&**app, &records[ri].samples);
-                            let snr = cap_snr(snr_db(&references[ai][ri], &samples_to_f64(&out)));
-                            (snr, mem.stats())
+                            // The lane's map is already armed above.
+                            draw_trial(sc, suite, point, run, ai, mem, &maps[lane])
                         };
-                        let (uncorrectable, corrected) = if stats.reads > 0 {
-                            (
-                                stats.uncorrectable_reads as f64 / stats.reads as f64,
-                                stats.corrected_reads as f64 / stats.reads as f64,
-                            )
-                        } else {
-                            (0.0, 0.0)
-                        };
-                        cells[lane].push(Cell {
-                            snr_db: snr,
-                            uncorrectable,
-                            corrected,
-                        });
+                        cells[lane].push(cell);
                     }
                 }
             }
-            group
-                .iter()
-                .zip(cells)
-                .map(|(&run, c)| (run, c))
-                .collect::<Vec<_>>()
+            cells
         },
-        cancel,
+        ctx.cancel,
     )?;
-    let mut out: Vec<Vec<Cell>> = (0..sc.trials).map(|_| Vec::new()).collect();
-    for (run, cells) in per_group.into_iter().flatten() {
-        out[run] = cells;
-    }
-    Ok(out)
+    // Groups are consecutive run ranges, returned in order.
+    Ok(per_group.into_iter().flatten().collect())
 }
 
 /// Aggregates one grid point's cells into per-(EMT, app) statistics, in
@@ -892,30 +870,6 @@ fn aggregate_point(sc: &Scenario, results: &[Vec<Cell>]) -> Vec<(EmtKind, AppKin
     out
 }
 
-/// Double-precision reference outputs per (app, record).
-type References = Vec<Vec<Vec<f64>>>;
-
-/// Shared hoisted state of the draw families: apps, the geometry fitting
-/// the largest footprint, and per-(app, record) references.
-fn draw_shared(
-    sc: &Scenario,
-    records: &[Record],
-) -> (Vec<Box<dyn BiomedicalApp>>, MemGeometry, References) {
-    let apps: Vec<Box<dyn BiomedicalApp>> =
-        sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect();
-    let max_words = apps
-        .iter()
-        .map(|a| a.memory_words())
-        .max()
-        .expect("validated: at least one app");
-    let geometry = banked_geometry(max_words);
-    let references: Vec<Vec<Vec<f64>>> = apps
-        .iter()
-        .map(|app| reference_outputs(&**app, records))
-        .collect();
-    (apps, geometry, references)
-}
-
 const FIG4_HEADERS: [&str; 7] = [
     "app",
     "emt",
@@ -948,20 +902,8 @@ fn voltage_points(
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<Fig4Point>, EngineError> {
     let records = record_suite_with_noise(sc.window, sc.effective_records(), sc.noise_scale);
-    let (_apps, geometry, references) = draw_shared(sc, &records);
-    // One clean pass per (EMT, app, record), shared by every voltage: each
-    // additional grid point pays only faulty-delta work.
-    let clean = if exec.batch {
-        Some(record_clean_passes(
-            sc,
-            &records,
-            &references,
-            geometry,
-            cancel,
-        )?)
-    } else {
-        None
-    };
+    // One suite, clean passes included, shared by every voltage.
+    let suite = draw_suite(sc, records, exec, cancel)?;
     let model = sc.fault.to_model();
     let mut points = Vec::new();
     for (vi, &voltage) in voltages.iter().enumerate() {
@@ -972,10 +914,7 @@ fn voltage_points(
             &DrawCtx {
                 fault_model: &fault_model,
                 ber_model: &model,
-                records: &records,
-                references: &references,
-                geometry,
-                clean: clean.as_ref(),
+                suite: &suite,
                 exec,
                 cancel,
             },
@@ -1050,54 +989,25 @@ fn run_noise(
     let fault_model = sc.fault.model.resolve(&model, sc.fixed_voltage);
     let mut typed = Vec::new();
     let mut rendered = Vec::new();
-    // The apps (and hence the geometry) are scale-independent; the record
-    // suite and per-(app, record) references depend on the scale — and
-    // only on it. Keeping the most recent suite means consecutive grid
-    // points at one scale pay for the reference computation exactly once,
+    // The record suite, its references and its clean passes depend on
+    // the scale — and only on it. Keeping the most recent suite means
+    // consecutive grid points at one scale pay for them exactly once,
     // without holding every suite of a long sweep in memory at once.
-    let apps: Vec<Box<dyn BiomedicalApp>> =
-        sc.apps.iter().map(|&k| k.instantiate(sc.window)).collect();
-    let geometry = banked_geometry(
-        apps.iter()
-            .map(|a| a.memory_words())
-            .max()
-            .expect("validated: at least one app"),
-    );
-    let mut suite: Option<(u64, Vec<Record>, References, Option<CleanPasses>)> = None;
+    let mut suite: Option<(u64, DrawSuite)> = None;
     for (si, &scale) in scales.iter().enumerate() {
         let key = scale.to_bits();
-        if suite.as_ref().is_none_or(|(k, ..)| *k != key) {
+        if suite.as_ref().is_none_or(|(k, _)| *k != key) {
             let records = record_suite_with_noise(sc.window, sc.effective_records(), scale);
-            let references: References = apps
-                .iter()
-                .map(|app| reference_outputs(&**app, &records))
-                .collect();
-            // Clean passes follow the suite: consecutive points at one
-            // scale share them, like the references.
-            let clean = if exec.batch {
-                Some(record_clean_passes(
-                    sc,
-                    &records,
-                    &references,
-                    geometry,
-                    cancel,
-                )?)
-            } else {
-                None
-            };
-            suite = Some((key, records, references, clean));
+            suite = Some((key, draw_suite(sc, records, exec, cancel)?));
         }
-        let (_, records, references, clean) = suite.as_ref().expect("just populated");
+        let (_, suite) = suite.as_ref().expect("just populated");
         let results = draw_point(
             sc,
             sc.point_offset + si,
             &DrawCtx {
                 fault_model: &fault_model,
                 ber_model: &model,
-                records,
-                references,
-                geometry,
-                clean: clean.as_ref(),
+                suite,
                 exec,
                 cancel,
             },

@@ -173,7 +173,10 @@ impl CampaignRunner {
             progress: Progress {
                 batches: 0,
                 rows: 0,
-                trials_total: self.spec.flatten().len(),
+                trials_total: self
+                    .spec
+                    .trial_count()
+                    .expect("validated: bounded trial count"),
             },
             on_progress: self.on_progress.as_deref(),
         };

@@ -8,6 +8,21 @@ use dream_mem::{BerModel, FaultModel, StuckAt};
 
 use super::json::Json;
 
+/// Largest `window` (samples per record) a spec may request: 64× the
+/// 1 024 every shipped preset uses. Allocation failure aborts the process
+/// instead of panicking, so [`Scenario::validate`] refuses oversized
+/// specs before any buffer is sized from them.
+pub(crate) const MAX_WINDOW: usize = 1 << 16;
+
+/// Largest memory size (16-bit words) a words grid may request: 64× the
+/// 65 536 of the largest shipped geometry sweep.
+pub(crate) const MAX_MEMORY_WORDS: usize = 1 << 22;
+
+/// Largest flattened trial count ([`Scenario::trial_count`]) a spec may
+/// request: at least 64× the largest shipped preset at full scale (fig2's
+/// 15 360 injections).
+pub(crate) const MAX_TRIAL_COUNT: usize = 1 << 20;
+
 /// What a scenario measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kind {
@@ -604,6 +619,12 @@ impl Scenario {
                 self.window
             ));
         }
+        if self.window > MAX_WINDOW {
+            return Err(SpecError::value(
+                "window",
+                format!("window {} exceeds the maximum of {MAX_WINDOW}", self.window),
+            ));
+        }
         if self.records == 0 || self.trials == 0 {
             return err("records and trials must be at least 1".into());
         }
@@ -685,6 +706,12 @@ impl Scenario {
                 if words.iter().any(|&w| w == 0 || w % 16 != 0) {
                     return err("memory sizes must be positive multiples of 16 words".into());
                 }
+                if let Some(&w) = words.iter().find(|&&w| w > MAX_MEMORY_WORDS) {
+                    return Err(SpecError::value(
+                        "grid.values",
+                        format!("memory size {w} exceeds the maximum of {MAX_MEMORY_WORDS} words"),
+                    ));
+                }
             }
         }
         let needs_fixed_voltage = matches!(self.grid, Grid::NoiseScale(_) | Grid::MemoryWords(_));
@@ -747,7 +774,13 @@ impl Scenario {
                 }
             }
         }
-        Ok(())
+        match self.trial_count() {
+            Some(n) if n <= MAX_TRIAL_COUNT => Ok(()),
+            n => err(format!(
+                "the campaign compiles to {} trials, above the maximum of {MAX_TRIAL_COUNT}",
+                n.map_or("more than usize::MAX".into(), |n| n.to_string())
+            )),
+        }
     }
 
     /// The record-suite size this scenario actually averages over.
@@ -755,9 +788,51 @@ impl Scenario {
         self.records.min(dream_ecg::Database::SUITE_SIZE)
     }
 
+    /// The length of [`Scenario::flatten`], computed with checked
+    /// arithmetic and no allocation — `None` when it overflows `usize`.
+    /// Progress totals and admission checks use this, so an oversized spec
+    /// is refused instead of materialized.
+    pub fn trial_count(&self) -> Option<usize> {
+        let product = |factors: &[usize]| {
+            factors
+                .iter()
+                .try_fold(1usize, |acc, &f| acc.checked_mul(f))
+        };
+        let trials = self.trials;
+        match (&self.kind, &self.grid) {
+            (Kind::SnrSweep, Grid::BitPosition(bits)) => product(&[
+                self.apps.len(),
+                self.emts.len(),
+                2,
+                bits.len(),
+                self.effective_records(),
+                trials,
+            ]),
+            (Kind::SnrSweep | Kind::Tradeoff, Grid::Voltage(vs)) => {
+                let draws = vs.len().checked_mul(trials)?;
+                if self.kind == Kind::Tradeoff {
+                    draws.checked_add(self.emts.len())
+                } else {
+                    Some(draws)
+                }
+            }
+            (Kind::SnrSweep, Grid::NoiseScale(scales)) => scales.len().checked_mul(trials),
+            (Kind::EnergySweep, Grid::Voltage(_)) => Some(self.emts.len()),
+            (Kind::EnergySweep, Grid::MemoryWords(words)) => {
+                words.len().checked_mul(self.emts.len())
+            }
+            (Kind::Ablation, Grid::Voltage(vs)) => {
+                let slopes = product(&[self.ber_slopes.len(), vs.len(), trials.min(8)])?;
+                trials.checked_mul(2)?.checked_add(slopes)
+            }
+            _ => Some(0),
+        }
+    }
+
     /// Compiles the spec to its flattened trial descriptors, in execution
     /// order. This is the engine's exact work list: `flatten().len()`
-    /// trials run through [`crate::exec::run_trials`].
+    /// (= [`Scenario::trial_count`]) trials run through
+    /// [`crate::exec::run_trials`].
     pub fn flatten(&self) -> Vec<FlatTrial> {
         let records = self.effective_records();
         let mut trials = Vec::new();
@@ -1332,6 +1407,53 @@ mod tests {
                 assert!(!sc.flatten().is_empty(), "{name} compiles to no trials");
             }
         }
+    }
+
+    #[test]
+    fn trial_count_matches_flatten_and_the_bounds_clear_every_preset() {
+        let (mut window, mut words, mut trials) = (0, 0, 0);
+        for name in registry::names() {
+            for smoke in [false, true] {
+                let sc = registry::get(name, smoke).expect("preset exists");
+                let count = sc.trial_count();
+                assert_eq!(count, Some(sc.flatten().len()), "{name} smoke={smoke}");
+                window = window.max(sc.window);
+                trials = trials.max(count.unwrap());
+                if let Grid::MemoryWords(ws) = &sc.grid {
+                    words = ws.iter().fold(words, |m, &w| m.max(w));
+                }
+            }
+        }
+        assert!(MAX_WINDOW >= 64 * window, "{MAX_WINDOW} vs {window}");
+        assert!(
+            MAX_MEMORY_WORDS >= 64 * words,
+            "{MAX_MEMORY_WORDS} vs {words}"
+        );
+        assert!(
+            MAX_TRIAL_COUNT >= 64 * trials,
+            "{MAX_TRIAL_COUNT} vs {trials}"
+        );
+    }
+
+    #[test]
+    fn oversized_specs_are_typed_errors_not_allocations() {
+        // `from_json` validates what it parses.
+        let check = |doc: &str| Scenario::from_json(doc).expect_err(doc);
+        let huge_window = check(r#"{"extends":"fig2","name":"huge","window":1e10}"#);
+        assert_eq!(huge_window.path(), Some("window"), "{huge_window}");
+        let many = check(r#"{"extends":"fig4","name":"many","trials":1e13}"#);
+        assert!(matches!(many, SpecError::Constraint { .. }), "{many}");
+        let overflow = Scenario {
+            trials: usize::MAX,
+            ..registry::get("fig2", false).unwrap()
+        };
+        assert_eq!(overflow.trial_count(), None);
+        let e = overflow.validate().expect_err("overflowing trial count");
+        assert!(e.to_string().contains("usize::MAX"), "{e}");
+        let words = check(
+            r#"{"extends":"geometry-sweep","name":"big","grid":{"axis":"words","values":[1099511627776]}}"#,
+        );
+        assert_eq!(words.path(), Some("grid.values"), "{words}");
     }
 
     #[test]

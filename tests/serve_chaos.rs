@@ -187,27 +187,32 @@ fn full_queue_sheds_with_retry_after_and_the_client_waits_it_out() {
         ..ServeConfig::default()
     });
 
-    // `a` holds the worker for several seconds; `b` fills the queue.
-    let a = smoke_spec(0xAAAA, 30);
+    // `a` (32 000 injections on one thread) holds the worker for about a
+    // second; `b` fills the queue.
+    let a = smoke_spec(0xAAAA, 1000);
     let b = smoke_spec(0xBBBB, 1);
     let c = smoke_spec(0xCCCC, 1);
-    let _a = post_without_reading(&addr, &a.to_json());
-    let _b = post_without_reading(&addr, &b.to_json());
-
-    // Give the submissions a moment to be admitted (queued/running).
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let health = client_request(&addr, "GET", "/healthz", b"").expect("healthz");
-        let body = String::from_utf8(health.body).expect("UTF-8");
-        if json_number(&body, "running") == 1 && json_number(&body, "queue_depth") == 1 {
-            break;
+    let wait_for = |what: &str, ready: &dyn Fn(&str) -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let health = client_request(&addr, "GET", "/healthz", b"").expect("healthz");
+            let body = String::from_utf8(health.body).expect("UTF-8");
+            if ready(&body) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{what}: {body}");
+            std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(
-            Instant::now() < deadline,
-            "a/b never occupied the service: {body}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    };
+    // `b` is posted only once the worker has taken `a` off the queue:
+    // posted any earlier, it would find the single slot still held by `a`
+    // and be shed itself.
+    let _a = post_without_reading(&addr, &a.to_json());
+    wait_for("a never started", &|body| json_number(body, "running") == 1);
+    let _b = post_without_reading(&addr, &b.to_json());
+    wait_for("a/b never occupied the service", &|body| {
+        json_number(body, "running") == 1 && json_number(body, "queue_depth") == 1
+    });
 
     // A direct submission is shed with 429 + Retry-After.
     let shed = client_request(&addr, "POST", "/campaigns", c.to_json().as_bytes()).expect("POST c");

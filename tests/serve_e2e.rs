@@ -249,3 +249,21 @@ fn deeply_nested_specs_get_a_400_and_the_server_survives() {
     let health = client_request(&addr, "GET", "/healthz", b"").expect("GET /healthz");
     assert_eq!(health.status, 200);
 }
+
+#[test]
+fn oversized_specs_get_a_400_and_the_server_survives() {
+    // Each body once aborted the whole process on an impossible
+    // allocation (a 1e10-sample record suite; a 1e13-trial work list).
+    let addr = boot(temp_store("oversized"));
+    for body in [
+        r#"{"extends":"fig2","name":"huge","window":1e10}"#,
+        r#"{"extends":"fig4","name":"many","trials":1e13}"#,
+    ] {
+        let response = client_request(&addr, "POST", "/campaigns", body.as_bytes()).expect("POST");
+        assert_eq!(response.status, 400, "{body}");
+        let message = String::from_utf8(response.body).expect("error body is UTF-8");
+        assert!(message.contains("maximum"), "{message}");
+    }
+    let health = client_request(&addr, "GET", "/healthz", b"").expect("GET /healthz");
+    assert_eq!(health.status, 200);
+}
