@@ -91,6 +91,7 @@ fn bench_tradeoff(c: &mut Criterion) {
             black_box(explore(
                 AppKind::Dwt,
                 1.0,
+                0.9,
                 black_box(&fig4),
                 black_box(&energy),
             ))

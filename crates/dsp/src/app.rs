@@ -102,21 +102,45 @@ impl AppKind {
         ]
     }
 
+    /// Checks that an `n`-sample window (at the record suite's 360 Hz)
+    /// suits this app's structure: the DWT's 4-scale tap spread, the
+    /// matrix filter's 32-sample columns, compressed sensing's 50 %
+    /// measurement split, the morphological filter's 0.3 s closing
+    /// element (twice over), and the one second of signal wavelet
+    /// delineation — and the classifier built on it — searches for beats.
+    ///
+    /// # Errors
+    ///
+    /// Describes the window the app needs.
+    pub fn check_window(self, n: usize) -> Result<(), String> {
+        let (fits, needs) = match self {
+            AppKind::Dwt => (n > 16, "more than 16 samples"),
+            AppKind::MatrixFilter => (n >= 32 && n % 32 == 0, "a multiple of 32 samples"),
+            AppKind::CompressedSensing => (n >= 2 && n % 2 == 0, "an even number of samples"),
+            AppKind::MorphologicalFilter => (n > 218, "more than 218 samples"),
+            AppKind::WaveletDelineation | AppKind::HeartbeatClassifier => {
+                (n >= 360, "at least 360 samples")
+            }
+        };
+        match fits {
+            true => Ok(()),
+            false => Err(format!("{self} needs a window of {needs}, got {n}")),
+        }
+    }
+
     /// Builds the application with its standard configuration for an
     /// `n`-sample input window (sampled at the record suite's 360 Hz).
     ///
     /// # Panics
     ///
-    /// Panics if `n` is too small for the app's structure (each app
-    /// documents its own minimum; 256 samples satisfies all five).
+    /// Panics if `n` fails [`AppKind::check_window`].
     pub fn instantiate(self, n: usize) -> Box<dyn BiomedicalApp> {
+        if let Err(e) = self.check_window(n) {
+            panic!("{e}");
+        }
         match self {
             AppKind::Dwt => Box::new(Dwt::new(n, 4)),
-            AppKind::MatrixFilter => {
-                let dim = 32.min(n);
-                assert!(n % dim == 0, "window must be a multiple of {dim}");
-                Box::new(MatrixFilter::new(dim, n / dim, 2))
-            }
+            AppKind::MatrixFilter => Box::new(MatrixFilter::new(32, n / 32, 2)),
             AppKind::CompressedSensing => Box::new(CompressedSensing::new(n, 4, 0xC5C5)),
             AppKind::MorphologicalFilter => Box::new(MorphologicalFilter::new(n, 360.0)),
             AppKind::WaveletDelineation => Box::new(WaveletDelineation::new(n, 360.0)),
@@ -183,6 +207,33 @@ mod tests {
                 app.memory_words()
             );
         }
+    }
+
+    #[test]
+    fn window_preconditions_are_tight_and_every_accepted_window_runs() {
+        // One sample below each minimum is refused; the minimum itself and
+        // the next admissible sizes build and run.
+        for (kind, min, step) in [
+            (AppKind::Dwt, 17, 1),
+            (AppKind::MatrixFilter, 32, 32),
+            (AppKind::CompressedSensing, 2, 2),
+            (AppKind::MorphologicalFilter, 219, 1),
+            (AppKind::WaveletDelineation, 360, 1),
+            (AppKind::HeartbeatClassifier, 360, 1),
+        ] {
+            assert!(kind.check_window(min - 1).is_err(), "{kind} at {}", min - 1);
+            for n in [min, min + step, 2 * min.max(256), 1024] {
+                kind.check_window(n)
+                    .unwrap_or_else(|e| panic!("{kind} at {n}: {e}"));
+                let app = kind.instantiate(n);
+                let record = Database::record(100, n);
+                let mut mem = VecStorage::new(app.memory_words());
+                assert_eq!(app.run(&record.samples, &mut mem).len(), app.output_len());
+            }
+        }
+        assert!(AppKind::MatrixFilter.check_window(300).is_err());
+        let e = AppKind::WaveletDelineation.check_window(320).unwrap_err();
+        assert!(e.contains("360") && e.contains("320"), "{e}");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::hash::sha256;
-use crate::http::read_response_head;
+use crate::http::{read_response_head, write_request, Dechunked};
 
 /// Retry/backoff knobs of one [`fetch_campaign`] call.
 #[derive(Clone, Debug)]
@@ -211,14 +211,13 @@ fn try_stream(
     let stream = TcpStream::connect_timeout(&socket_addr, policy.connect_timeout)?;
     stream.set_read_timeout(Some(policy.read_timeout))?;
     stream.set_write_timeout(Some(policy.read_timeout))?;
-    let mut writer = stream.try_clone()?;
-    write!(
-        writer,
-        "POST {target} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        spec_json.len()
+    write_request(
+        &mut stream.try_clone()?,
+        "POST",
+        target,
+        addr,
+        spec_json.as_bytes(),
     )?;
-    writer.write_all(spec_json.as_bytes())?;
-    writer.flush()?;
 
     let mut reader = BufReader::new(stream);
     let (status, headers) = read_response_head(&mut reader)?;
@@ -248,91 +247,29 @@ fn try_stream(
     }
     let cache = headers.get("x-dream-cache").cloned();
 
-    // De-chunk incrementally, committing complete rows as they land.
+    // Commit each complete row the moment its newline arrives — a
+    // connection cut mid-chunk still leaves every finished row in the
+    // output, which is exactly what the next attempt's skip resumes past.
+    let mut rows = Dechunked::new(reader);
     let mut seen = 0usize; // complete rows observed in THIS stream
     let mut written = rows_done; // complete rows in the output overall
     let mut line: Vec<u8> = Vec::new();
     loop {
-        let size = match read_chunk_size(&mut reader) {
-            Ok(size) => size,
-            Err(_) => return Ok(Attempt::Interrupted { rows_done: written }),
-        };
-        if size == 0 {
-            // Clean terminator. A whole-row streamer never leaves a
-            // partial line here; if one appears the stream is broken.
-            if !line.is_empty() {
-                return Ok(Attempt::Interrupted { rows_done: written });
-            }
-            return Ok(Attempt::Complete { rows: seen, cache });
-        }
-        // Consume the chunk payload incrementally, committing each
-        // complete row the moment its newline arrives — a connection cut
-        // mid-chunk still leaves every finished row in the output, which
-        // is exactly what the next attempt's skip resumes past.
-        let mut remaining = size;
-        let mut buf = [0u8; 4096];
-        while remaining > 0 {
-            let want = buf.len().min(remaining);
-            let n = match reader.read(&mut buf[..want]) {
-                Ok(0) => return Ok(Attempt::Interrupted { rows_done: written }),
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return Ok(Attempt::Interrupted { rows_done: written }),
-            };
-            for &byte in &buf[..n] {
-                line.push(byte);
-                if byte == b'\n' {
-                    seen += 1;
-                    if seen > rows_done {
-                        out.write_all(&line)?;
-                        written = written.max(seen);
-                    }
-                    line.clear();
+        line.clear();
+        match rows.read_until(b'\n', &mut line) {
+            Ok(0) => return Ok(Attempt::Complete { rows: seen, cache }),
+            Ok(_) if line.ends_with(b"\n") => {
+                seen += 1;
+                if seen > rows_done {
+                    out.write_all(&line)?;
+                    written = written.max(seen);
                 }
             }
-            remaining -= n;
-        }
-        let mut crlf = [0u8; 2];
-        if read_exact_or_interrupt(&mut reader, &mut crlf).is_err() {
-            return Ok(Attempt::Interrupted { rows_done: written });
+            // A partial row at the terminator (a whole-row streamer never
+            // leaves one), a framing fault, or a dead transport.
+            _ => return Ok(Attempt::Interrupted { rows_done: written }),
         }
     }
-}
-
-/// Reads one `{hex}\r\n` chunk-size line.
-fn read_chunk_size<R: BufRead>(reader: &mut R) -> io::Result<usize> {
-    let mut raw = String::new();
-    if reader.read_line(&mut raw)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "EOF at chunk boundary",
-        ));
-    }
-    usize::from_str_radix(raw.trim(), 16).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad chunk size {raw:?}"),
-        )
-    })
-}
-
-/// `read_exact` that treats EOF/timeout as a (retryable) failure.
-fn read_exact_or_interrupt<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside chunk",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -4,7 +4,11 @@
 //! streams.
 //!
 //! The workspace vendors no HTTP crate, and the API needs exactly four
-//! verbs worth of surface, so the layer is hand-rolled and std-only.
+//! verbs worth of surface, so the layer is hand-rolled and std-only. Each
+//! piece of framing exists once: one request writer and one chunk decoder
+//! (shared by the test client and [`crate::client`]), one response-head
+//! writer (plain responses and row streams, each head in one write), and
+//! one chunk framer (the follower poller's).
 //!
 //! # Hostile-client posture
 //!
@@ -167,25 +171,7 @@ impl Request {
             None => (target.to_string(), String::new()),
         };
 
-        let mut headers = HashMap::new();
-        let mut head_bytes = start.len();
-        loop {
-            let budget = limits.max_head.saturating_sub(head_bytes);
-            let line = read_line_bounded(reader, budget, deadline)?
-                .ok_or_else(|| HttpError::Malformed("EOF inside headers".into()))?;
-            if line.is_empty() {
-                break;
-            }
-            head_bytes += line.len();
-            if head_bytes > limits.max_head {
-                return Err(HttpError::HeadTooLarge);
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| HttpError::Malformed(format!("malformed header line {line:?}")))?;
-            headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
-        }
-
+        let headers = read_headers(reader, limits.max_head - start.len(), deadline)?;
         let length: usize = match headers.get("content-length") {
             None => 0,
             Some(v) => v
@@ -279,6 +265,29 @@ fn read_line_bounded<R: BufRead>(
     }
 }
 
+/// Reads header lines up to the blank line into a map with lower-cased
+/// names, within `budget` bytes in all — requests and responses alike.
+fn read_headers<R: BufRead>(
+    reader: &mut R,
+    budget: usize,
+    deadline: Option<Instant>,
+) -> Result<HashMap<String, String>, HttpError> {
+    let mut headers = HashMap::new();
+    let mut used = 0;
+    loop {
+        let line = read_line_bounded(reader, budget - used, deadline)?
+            .ok_or_else(|| HttpError::Malformed("EOF inside headers".into()))?;
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        used += line.len();
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| HttpError::Malformed(format!("malformed header line {line:?}")))?;
+        headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
+    }
+}
+
 /// Fills `buf` completely, re-checking `deadline` between transport reads.
 fn read_exact_deadline<R: Read>(
     reader: &mut R,
@@ -304,17 +313,41 @@ fn bad(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
-/// Client-side line read: bounded like the server's but surfaced as a
-/// plain I/O error (the client retries, it doesn't answer with a status).
-fn client_line<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
-    match read_line_bounded(reader, MAX_HEAD, None) {
-        Ok(line) => Ok(line),
-        Err(HttpError::Io(e)) => Err(e),
-        Err(e) => Err(bad(e.to_string())),
+/// Surfaces an [`HttpError`] as a plain I/O error on the client side (the
+/// client retries, it doesn't answer with a status).
+fn into_io(e: HttpError) -> io::Error {
+    match e {
+        HttpError::Io(e) => e,
+        e => bad(e.to_string()),
     }
 }
 
-/// Writes a complete (non-chunked) response.
+/// Client-side line read, bounded like the server's.
+fn client_line<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
+    read_line_bounded(reader, MAX_HEAD, None).map_err(into_io)
+}
+
+/// Renders a response head into one buffer, so it reaches an unbuffered
+/// socket in a single write: `Content-Type`, the body's `framing` header
+/// (its length, or chunked transfer), `Connection: close`, then `extra`.
+pub(crate) fn response_head(
+    status: u16,
+    reason: &str,
+    content_type: &str,
+    (framing, value): (&str, &str),
+    extra: &[(&str, &str)],
+) -> Vec<u8> {
+    let mut head = format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n{framing}: {value}\r\nConnection: close\r\n"
+    );
+    for (name, value) in extra {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str("\r\n");
+    head.into_bytes()
+}
+
+/// Writes a complete (non-chunked) response in one write.
 ///
 /// # Errors
 ///
@@ -327,73 +360,126 @@ pub fn write_response<W: Write>(
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body.len()
-    )?;
-    for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body)?;
+    let length = ("Content-Length", body.len().to_string());
+    let mut response = response_head(
+        status,
+        reason,
+        content_type,
+        (length.0, &length.1),
+        extra_headers,
+    );
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
 }
 
-/// A chunked-transfer response body: `start`, any number of `chunk`s,
-/// then `finish` (the zero-length terminator).
-pub struct ChunkedBody<'a, W: Write> {
-    stream: &'a mut W,
+/// The zero-length chunk that terminates a chunked body.
+pub(crate) const LAST_CHUNK: &[u8] = b"0\r\n\r\n";
+
+/// Frames `data` as one HTTP chunk onto `out` (empty input frames
+/// nothing — an empty chunk would terminate the body).
+pub(crate) fn frame_chunk(out: &mut Vec<u8>, data: &[u8]) {
+    if data.is_empty() {
+        return;
+    }
+    out.extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
+    out.extend_from_slice(data);
+    out.extend_from_slice(b"\r\n");
 }
 
-impl<'a, W: Write> ChunkedBody<'a, W> {
-    /// Writes the response head and opens the chunked body.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors.
-    pub fn start(
-        stream: &'a mut W,
-        content_type: &str,
-        extra_headers: &[(&str, &str)],
-    ) -> io::Result<ChunkedBody<'a, W>> {
-        write!(
-            stream,
-            "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n"
-        )?;
-        for (name, value) in extra_headers {
-            write!(stream, "{name}: {value}\r\n")?;
+/// The one chunk decoder: yields a chunked body's payload bytes as they
+/// arrive and reports end of input at the terminating chunk. Chunk-size
+/// lines are read under the same bound as every other line, nothing is
+/// allocated from a declared size, and any framing fault or early EOF is
+/// an error.
+pub(crate) struct Dechunked<R> {
+    inner: R,
+    /// Payload bytes left in the current chunk.
+    left: usize,
+    /// A chunk was opened, so its closing CRLF precedes the next size.
+    opened: bool,
+    /// The terminating chunk was read.
+    done: bool,
+}
+
+impl<R: BufRead> Dechunked<R> {
+    pub(crate) fn new(inner: R) -> Self {
+        Dechunked {
+            inner,
+            left: 0,
+            opened: false,
+            done: false,
         }
-        stream.write_all(b"\r\n")?;
-        stream.flush()?;
-        Ok(ChunkedBody { stream })
+    }
+}
+
+impl<R: BufRead> BufRead for Dechunked<R> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        if self.left == 0 && !self.done {
+            if self.opened {
+                let mut crlf = [0; 2];
+                self.inner.read_exact(&mut crlf)?;
+                if &crlf != b"\r\n" {
+                    return Err(bad("chunk not closed by CRLF".into()));
+                }
+            }
+            let line = client_line(&mut self.inner)?.ok_or_else(|| {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "EOF at chunk boundary")
+            })?;
+            self.left = usize::from_str_radix(line.trim(), 16)
+                .map_err(|_| bad(format!("bad chunk size {line:?}")))?;
+            self.opened = true;
+            if self.left == 0 {
+                // The trailer section (we send none) ends with a blank line.
+                client_line(&mut self.inner)?;
+                self.done = true;
+            }
+        }
+        if self.done {
+            return Ok(&[]);
+        }
+        let available = self.inner.fill_buf()?;
+        if available.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "EOF inside chunk",
+            ));
+        }
+        Ok(&available[..available.len().min(self.left)])
     }
 
-    /// Writes one chunk (empty input writes nothing — an empty chunk
-    /// would terminate the body).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors.
-    pub fn chunk(&mut self, data: &[u8]) -> io::Result<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")?;
-        self.stream.flush()
+    fn consume(&mut self, n: usize) {
+        self.inner.consume(n);
+        self.left -= n;
     }
+}
 
-    /// Terminates the body.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors.
-    pub fn finish(self) -> io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+impl<R: BufRead> Read for Dechunked<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let available = self.fill_buf()?;
+        let n = available.len().min(buf.len());
+        buf[..n].copy_from_slice(&available[..n]);
+        self.consume(n);
+        Ok(n)
     }
+}
+
+/// Writes a request with a `Content-Length` body in one write.
+pub(crate) fn write_request<W: Write>(
+    stream: &mut W,
+    method: &str,
+    target: &str,
+    host: &str,
+    body: &[u8],
+) -> io::Result<()> {
+    let mut request = format!(
+        "{method} {target} HTTP/1.1\r\nHost: {host}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request)?;
+    stream.flush()
 }
 
 /// A parsed client-side response — the test/CI helper's view.
@@ -426,16 +512,7 @@ pub(crate) fn read_response_head<R: BufRead>(
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad(format!("malformed status line {status_line:?}")))?;
-    let mut headers = HashMap::new();
-    loop {
-        let line = client_line(reader)?.ok_or_else(|| bad("EOF inside headers".into()))?;
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
-        }
-    }
+    let headers = read_headers(reader, MAX_HEAD, None).map_err(into_io)?;
     Ok((status, headers))
 }
 
@@ -447,42 +524,14 @@ pub(crate) fn read_response_head<R: BufRead>(
 /// Propagates connection and protocol errors.
 pub fn client_request(addr: &str, method: &str, target: &str, body: &[u8]) -> io::Result<Response> {
     let stream = TcpStream::connect(addr)?;
-    let mut writer = stream.try_clone()?;
-    write!(
-        writer,
-        "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )?;
-    writer.write_all(body)?;
-    writer.flush()?;
+    write_request(&mut stream.try_clone()?, method, target, addr, body)?;
 
     let mut reader = BufReader::new(stream);
     let (status, headers) = read_response_head(&mut reader)?;
-
+    // Every response closes its connection, so a plain body ends at EOF.
     let mut body = Vec::new();
     if headers.get("transfer-encoding").map(String::as_str) == Some("chunked") {
-        loop {
-            let size_line =
-                client_line(&mut reader)?.ok_or_else(|| bad("EOF in chunk size".into()))?;
-            let size = usize::from_str_radix(size_line.trim(), 16)
-                .map_err(|_| bad(format!("bad chunk size {size_line:?}")))?;
-            if size == 0 {
-                // Trailer section (we send none) ends with a blank line.
-                let _ = client_line(&mut reader)?;
-                break;
-            }
-            let mut chunk = vec![0; size];
-            reader.read_exact(&mut chunk)?;
-            body.extend_from_slice(&chunk);
-            let mut crlf = [0; 2];
-            reader.read_exact(&mut crlf)?;
-        }
-    } else if let Some(length) = headers.get("content-length") {
-        let length: usize = length
-            .parse()
-            .map_err(|_| bad(format!("bad Content-Length {length:?}")))?;
-        body = vec![0; length];
-        reader.read_exact(&mut body)?;
+        Dechunked::new(reader).read_to_end(&mut body)?;
     } else {
         reader.read_to_end(&mut body)?;
     }
@@ -497,7 +546,14 @@ pub fn client_request(addr: &str, method: &str, target: &str, body: &[u8]) -> io
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
+
+    fn dechunk<R: BufRead>(reader: R) -> io::Result<Vec<u8>> {
+        let mut body = Vec::new();
+        Dechunked::new(reader).read_to_end(&mut body)?;
+        Ok(body)
+    }
 
     fn parse(raw: &str, limits: &ReadLimits) -> Result<Option<Request>, HttpError> {
         Request::read(&mut Cursor::new(raw.as_bytes().to_vec()), limits)
@@ -617,17 +673,87 @@ mod tests {
 
     #[test]
     fn chunked_bodies_round_trip_through_a_buffer() {
-        let mut out: Vec<u8> = Vec::new();
-        let mut body = ChunkedBody::start(&mut out, "text/plain", &[("X-Tag", "t")]).unwrap();
-        body.chunk(b"hello ").unwrap();
-        body.chunk(b"").unwrap(); // no-op, must not terminate
-        body.chunk(b"world").unwrap();
-        body.finish().unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let mut out = response_head(
+            200,
+            "OK",
+            "text/plain",
+            ("Transfer-Encoding", "chunked"),
+            &[("X-Tag", "t")],
+        );
+        frame_chunk(&mut out, b"hello ");
+        frame_chunk(&mut out, b""); // no-op, must not terminate
+        frame_chunk(&mut out, b"world");
+        out.extend_from_slice(LAST_CHUNK);
+        let text = String::from_utf8(out.clone()).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("X-Tag: t\r\n"));
         assert!(text.contains("6\r\nhello \r\n"));
         assert!(text.contains("5\r\nworld\r\n"));
         assert!(text.ends_with("0\r\n\r\n"));
+        let mut reader = Cursor::new(out);
+        let (status, headers) = read_response_head(&mut reader).unwrap();
+        assert_eq!((status, headers["x-tag"].as_str()), (200, "t"));
+        assert_eq!(dechunk(reader).unwrap(), b"hello world");
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        /// Counts the `write` calls it receives.
+        struct Writes(Vec<u8>, usize);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.extend_from_slice(buf);
+                self.1 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Writes(Vec::new(), 0);
+        write_response(
+            &mut out,
+            404,
+            "Not Found",
+            "text/plain",
+            &[("X-A", "1")],
+            b"no",
+        )
+        .unwrap();
+        assert_eq!(out.1, 1);
+        assert_eq!(
+            out.0,
+            b"HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\
+              Connection: close\r\nX-A: 1\r\n\r\nno"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn framed_payloads_decode_to_their_concatenation(
+            payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..300), 0..6),
+        ) {
+            let mut framed = Vec::new();
+            for payload in &payloads {
+                frame_chunk(&mut framed, payload);
+            }
+            framed.extend_from_slice(LAST_CHUNK);
+            let decoded = dechunk(Cursor::new(framed)).unwrap();
+            prop_assert_eq!(decoded, payloads.concat());
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_chunk_decoder(
+            bytes in prop::collection::vec(any::<u8>(), 0..200),
+            hexish in prop::collection::vec(
+                prop::sample::select(b"0123456789abcdefABCDEF\r\n;x ".to_vec()),
+                0..64,
+            ),
+        ) {
+            let _ = dechunk(Cursor::new(bytes));
+            let _ = dechunk(Cursor::new(hexish));
+        }
     }
 }

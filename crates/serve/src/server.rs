@@ -73,13 +73,14 @@
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dream_sim::report::JsonlSink;
+use dream_sim::report::{json_string, JsonlSink};
 use dream_sim::scenario::{
     registry, CampaignRunner, CancelToken, EngineError, Scenario, Shard, ShardPlan, SinkFormat,
     SinkSpec,
@@ -87,7 +88,7 @@ use dream_sim::scenario::{
 use dream_sim::telemetry::{self, BatchTelemetry};
 
 use crate::client::{fetch_rows, RetryPolicy};
-use crate::http::{write_response, ReadLimits, Request};
+use crate::http::{frame_chunk, response_head, write_response, ReadLimits, Request, LAST_CHUNK};
 use crate::store::{campaign_id, spec_hash, Integrity, Store};
 
 /// How long row-stream followers sleep between artifact polls when no
@@ -596,19 +597,33 @@ fn worker_loop(state: &Arc<State>, jobs: &Arc<Mutex<mpsc::Receiver<Job>>>) {
             .expect("active map lock")
             .insert(job.id.clone(), token.clone());
         state.set_status(&job.id, Status::Running);
-        let result = execute_campaign(state, &job, &token);
+        let status = final_status(|| execute_campaign(state, &job, &token));
         state
             .active
             .lock()
             .expect("active map lock")
             .remove(&job.id);
-        let status = match result {
-            Ok(()) => Status::Complete,
-            Err(EngineError::Cancelled) => Status::Cancelled,
-            Err(e) => Status::Failed(e.to_string()),
-        };
         state.running.fetch_sub(1, Ordering::SeqCst);
         state.set_status(&job.id, status);
+    }
+}
+
+/// Runs one campaign and maps how it ended to its final [`Status`]. A
+/// panic fails that campaign alone: the worker survives to take the next
+/// job, and followers get the terminating chunk like on any failure.
+fn final_status(run: impl FnOnce() -> Result<(), EngineError>) -> Status {
+    match panic::catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(())) => Status::Complete,
+        Ok(Err(EngineError::Cancelled)) => Status::Cancelled,
+        Ok(Err(e)) => Status::Failed(e.to_string()),
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            Status::Failed(format!("campaign panicked: {message}"))
+        }
     }
 }
 
@@ -914,25 +929,6 @@ fn shed_response(
     )
 }
 
-/// Minimal JSON string escaping for error payloads.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn get_presets(stream: &mut TcpStream) -> io::Result<()> {
     let entries: Vec<String> = registry::catalog()
         .into_iter()
@@ -1207,10 +1203,13 @@ fn post_campaign(
 /// pins a thread.
 fn stream_rows(state: &Arc<State>, stream: TcpStream, id: &str, cache: &str) -> io::Result<()> {
     let mut stream = stream;
-    let head = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\nX-Campaign-Id: {id}\r\nX-Dream-Cache: {cache}\r\n\r\n"
-    );
-    stream.write_all(head.as_bytes())?;
+    stream.write_all(&response_head(
+        200,
+        "OK",
+        "application/x-ndjson",
+        ("Transfer-Encoding", "chunked"),
+        &[("X-Campaign-Id", id), ("X-Dream-Cache", cache)],
+    ))?;
     stream.flush()?;
     stream.set_nonblocking(true)?;
     state
@@ -1315,7 +1314,7 @@ fn pump_follower(state: &Arc<State>, f: &mut Follower) -> bool {
         }
         if !framed {
             if done {
-                f.pending.extend_from_slice(b"0\r\n\r\n");
+                f.pending.extend_from_slice(LAST_CHUNK);
                 f.finished = true;
                 continue;
             }
@@ -1326,20 +1325,33 @@ fn pump_follower(state: &Arc<State>, f: &mut Follower) -> bool {
     }
 }
 
-/// Frames `data` as one HTTP chunk into `out` (the buffered counterpart
-/// of [`crate::http::ChunkedBody::chunk`]).
-fn frame_chunk(out: &mut Vec<u8>, data: &[u8]) {
-    if data.is_empty() {
-        return;
-    }
-    out.extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
-    out.extend_from_slice(data);
-    out.extend_from_slice(b"\r\n");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_way_a_campaign_ends_maps_to_its_status() {
+        assert_eq!(final_status(|| Ok(())), Status::Complete);
+        assert_eq!(
+            final_status(|| Err(EngineError::Cancelled)),
+            Status::Cancelled
+        );
+        let spec = Scenario::from_json("{}").unwrap_err();
+        assert_eq!(
+            final_status(|| Err(EngineError::Spec(spec.clone()))),
+            Status::Failed(EngineError::Spec(spec).to_string())
+        );
+        let status = final_status(|| panic!("worker blew up at {}", 7));
+        assert_eq!(
+            status,
+            Status::Failed("campaign panicked: worker blew up at 7".into())
+        );
+        let status = final_status(|| panic!("static message"));
+        assert_eq!(
+            status,
+            Status::Failed("campaign panicked: static message".into())
+        );
+    }
 
     #[test]
     fn a_notify_before_the_wait_is_not_lost() {

@@ -181,7 +181,7 @@ fn is_json_number(cell: &str) -> bool {
 }
 
 /// Escapes a string for inclusion in a JSON document (quotes included).
-pub(crate) fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -315,20 +315,6 @@ impl<W: Write> Sink for TableSink<W> {
     }
 }
 
-/// Writes rows as CSV in one call (headers + rows through [`CsvSink`], so
-/// cells containing commas, quotes or newlines are escaped rather than
-/// silently corrupting the row structure).
-///
-/// # Errors
-///
-/// Propagates any I/O error from creating or writing the file.
-pub fn write_csv(path: &Path, headers: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
-    let mut sink = CsvSink::new(std::fs::File::create(path)?);
-    sink.begin(headers)?;
-    sink.emit(rows)?;
-    sink.finish()
-}
-
 /// Formats a fraction as a percentage with one decimal (`0.345` → `34.5%`).
 pub fn pct(fraction: f64) -> String {
     format!("{:.1}%", fraction * 100.0)
@@ -358,33 +344,29 @@ mod tests {
         assert_eq!(lines[0].len(), lines[2].len());
     }
 
+    fn csv(headers: &[&str], rows: &[Vec<String>]) -> String {
+        let mut sink = CsvSink::new(Vec::new());
+        sink.begin(headers).unwrap();
+        sink.emit(rows).unwrap();
+        sink.finish().unwrap();
+        String::from_utf8(sink.into_inner()).unwrap()
+    }
+
     #[test]
     fn csv_round_trips() {
-        let dir = std::env::temp_dir().join("dream_sim_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        write_csv(
-            &path,
+        let body = csv(
             &["x", "y"],
             &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
-        )
-        .unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
+        );
         assert_eq!(body, "x,y\n1,2\n3,4\n");
     }
 
     #[test]
     fn csv_cells_with_commas_are_quoted_not_corrupted() {
-        let dir = std::env::temp_dir().join("dream_sim_csv_escape_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        write_csv(
-            &path,
+        let body = csv(
             &["name", "note"],
             &[vec!["a,b".into(), "he said \"hi\"\nbye".into()]],
-        )
-        .unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
+        );
         assert_eq!(body, "name,note\n\"a,b\",\"he said \"\"hi\"\"\nbye\"\n");
         // Quoted-field parse: the first data row still has exactly 2 cells.
         assert_eq!(body.lines().count(), 3); // header + 2 physical lines of 1 logical row

@@ -1236,7 +1236,7 @@ fn run_tradeoff(
     ensure_live(cancel)?;
     let energy = run_energy_table(&energy_config(sc, voltages));
     let tolerance = sc.tolerance_db.unwrap_or(1.0);
-    let policies = explore(sc.apps[0], tolerance, &points, &energy);
+    let policies = explore(sc.apps[0], tolerance, sc.fault.nominal_v, &points, &energy);
     let rendered: Vec<Vec<String>> = policies
         .iter()
         .map(|p| {

@@ -137,6 +137,14 @@ impl Json {
         }
     }
 
+    /// The object fields, if this is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(fields) => Some(fields),
+            _ => None,
+        }
+    }
+
     /// Pretty-prints with two-space indentation and a trailing newline —
     /// the canonical on-disk spec format.
     pub fn pretty(&self) -> String {

@@ -10,7 +10,7 @@ use dream_dsp::AppKind;
 use dream_ecg::Database;
 use dream_mem::BerModel;
 
-use super::spec::{FaultModelSpec, FaultSpec, Grid, Kind, Scenario, SinkSpec, SpecError};
+use super::spec::{FaultModelSpec, Grid, Kind, Scenario, SpecError};
 
 /// Base seed of the Fig. 2 injection campaign (historical constant).
 pub const FIG2_SEED: u64 = 0xF162;
@@ -54,15 +54,7 @@ fn base(name: &str, title: &str, kind: Kind, grid: Grid) -> Scenario {
         apps: AppKind::all().to_vec(),
         emts: EmtKind::paper_set().to_vec(),
         grid,
-        fault: FaultSpec::date16(),
-        fixed_voltage: BerModel::NOMINAL_VOLTAGE,
-        noise_scale: 1.0,
-        scrambler_key: None,
-        tolerance_db: None,
-        ber_slopes: Vec::new(),
-        seed: 0,
-        sink: SinkSpec::default(),
-        point_offset: 0,
+        ..Scenario::defaults()
     }
 }
 

@@ -5,6 +5,7 @@
 use dream_core::EmtKind;
 use dream_dsp::AppKind;
 use dream_mem::{BerModel, FaultModel, StuckAt};
+use dream_soc::SocConfig;
 
 use super::json::Json;
 
@@ -100,6 +101,40 @@ impl Grid {
     /// True when the grid has no points.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    fn from_json(value: &Json) -> Result<Grid, SpecError> {
+        let field = |key| value.get(key).unwrap_or(&Json::Null);
+        typed(value, "grid", "an object", Json::as_obj)?;
+        let axis = typed(field("axis"), "grid.axis", "an axis token", Json::as_str)?;
+        let values = numbers(field("values"), "grid.values")?;
+        let integers = |bound: f64, what: &str| {
+            let bad = |n| SpecError::value("grid.values", format!("{n} is not {what}"));
+            values
+                .iter()
+                .map(|&n| match (0.0..bound).contains(&n) && n.fract() == 0.0 {
+                    true => Ok(n as usize),
+                    false => Err(bad(n)),
+                })
+                .collect::<Result<Vec<_>, _>>()
+        };
+        Ok(match axis {
+            "voltage" => Grid::Voltage(values),
+            "noise" => Grid::NoiseScale(values),
+            "bit" => Grid::BitPosition(
+                integers(32.0, "a bit position (an integer below 32)")?
+                    .into_iter()
+                    .map(|b| b as u32)
+                    .collect(),
+            ),
+            "words" => Grid::MemoryWords(integers(f64::INFINITY, "a memory size in words")?),
+            other => {
+                return Err(SpecError::value(
+                    "grid.axis",
+                    format!("unknown grid axis {other:?}"),
+                ))
+            }
+        })
     }
 }
 
@@ -224,19 +259,10 @@ impl FaultModelSpec {
                 column_weight: num("column_weight")?,
             },
             "bank-voltage" => FaultModelSpec::PerBankVoltage {
-                bank_offsets: value
-                    .get("bank_offsets")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| {
-                        SpecError::field("fault.model.bank_offsets", "an array of numbers")
-                    })?
-                    .iter()
-                    .map(|v| {
-                        v.as_f64().ok_or_else(|| {
-                            SpecError::value("fault.model.bank_offsets", "entries must be numbers")
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
+                bank_offsets: numbers(
+                    value.get("bank_offsets").unwrap_or(&Json::Null),
+                    "fault.model.bank_offsets",
+                )?,
             },
             other => {
                 return Err(SpecError::value(
@@ -291,6 +317,41 @@ impl FaultSpec {
             self.log10_ber_at_nominal,
             self.log10_slope_per_volt,
         )
+    }
+
+    fn to_json_value(&self) -> Json {
+        Json::Obj(vec![
+            ("nominal_v".into(), Json::Num(self.nominal_v)),
+            (
+                "log10_ber_at_nominal".into(),
+                Json::Num(self.log10_ber_at_nominal),
+            ),
+            (
+                "log10_slope_per_volt".into(),
+                Json::Num(self.log10_slope_per_volt),
+            ),
+            ("model".into(), self.model.to_json_value()),
+        ])
+    }
+
+    /// Reads a merged `fault` object (the overlay supplies every field).
+    fn from_json(value: &Json) -> Result<FaultSpec, SpecError> {
+        let mut fault = FaultSpec::date16();
+        for (key, v) in typed(value, "fault", "an object", Json::as_obj)? {
+            let path = format!("fault.{key}");
+            match key.as_str() {
+                "nominal_v" => fault.nominal_v = typed(v, &path, "a number", Json::as_f64)?,
+                "log10_ber_at_nominal" => {
+                    fault.log10_ber_at_nominal = typed(v, &path, "a number", Json::as_f64)?;
+                }
+                "log10_slope_per_volt" => {
+                    fault.log10_slope_per_volt = typed(v, &path, "a number", Json::as_f64)?;
+                }
+                "model" => fault.model = FaultModelSpec::from_json(v)?,
+                _ => return Err(unknown_field(path)),
+            }
+        }
+        Ok(fault)
     }
 }
 
@@ -409,6 +470,34 @@ impl SinkSpec {
             s.push_str(",append");
         }
         s
+    }
+
+    fn to_json_value(&self) -> Json {
+        Json::Obj(vec![
+            ("format".into(), Json::Str(self.format.token().into())),
+            (
+                "out".into(),
+                self.out
+                    .as_ref()
+                    .map_or(Json::Null, |o| Json::Str(o.clone())),
+            ),
+            ("append".into(), Json::Bool(self.append)),
+        ])
+    }
+
+    /// Reads a merged `sink` object (the overlay supplies every field).
+    fn from_json(value: &Json) -> Result<SinkSpec, SpecError> {
+        let mut sink = SinkSpec::default();
+        for (key, v) in typed(value, "sink", "an object", Json::as_obj)? {
+            let path = format!("sink.{key}");
+            match key.as_str() {
+                "format" => sink.format = token(v, &path, "sink format", SinkFormat::from_token)?,
+                "out" => sink.out = nullable(v, &path, "a string", Json::as_str)?.map(Into::into),
+                "append" => sink.append = typed(v, &path, "a boolean", Json::as_bool)?,
+                _ => return Err(unknown_field(path)),
+            }
+        }
+        Ok(sink)
     }
 }
 
@@ -615,7 +704,7 @@ impl Scenario {
         }
         if self.window < 256 {
             return err(format!(
-                "window {} is below the app minimum of 256",
+                "window {} is below the minimum of 256",
                 self.window
             ));
         }
@@ -624,6 +713,10 @@ impl Scenario {
                 "window",
                 format!("window {} exceeds the maximum of {MAX_WINDOW}", self.window),
             ));
+        }
+        for app in &self.apps {
+            app.check_window(self.window)
+                .map_err(|e| SpecError::value("window", e))?;
         }
         if self.records == 0 || self.trials == 0 {
             return err("records and trials must be at least 1".into());
@@ -641,6 +734,21 @@ impl Scenario {
             return err(format!(
                 "noise_scale {} must be non-negative",
                 self.noise_scale
+            ));
+        }
+        // `BerModel::new`'s preconditions: the calibration must be monotone.
+        let FaultSpec {
+            nominal_v,
+            log10_slope_per_volt: slope,
+            ..
+        } = self.fault;
+        if nominal_v.is_nan() || nominal_v <= 0.0 {
+            return Err(SpecError::value("fault.nominal_v", "must be positive"));
+        }
+        if slope.is_nan() || slope < 0.0 {
+            return Err(SpecError::value(
+                "fault.log10_slope_per_volt",
+                "must be non-negative (BER must not fall as the voltage drops)",
             ));
         }
         self.fault.model.validate()?;
@@ -772,6 +880,28 @@ impl Scenario {
                 if self.ber_slopes.is_empty() {
                     return err("ablation needs at least one BER slope".into());
                 }
+            }
+        }
+        // The energy-pricing families run one app on the INYU SoC, whose
+        // shared data memory must hold its footprint (the ablation bundle
+        // prices DWT whatever its app list says).
+        let priced = match (self.kind, &self.grid) {
+            (Kind::EnergySweep, Grid::Voltage(_)) | (Kind::Tradeoff, _) => Some(self.apps[0]),
+            (Kind::Ablation, _) => Some(AppKind::Dwt),
+            _ => None,
+        };
+        if let Some(app) = priced {
+            let words = app.instantiate(self.window).memory_words();
+            let capacity = SocConfig::inyu().geometry.words();
+            if words > capacity {
+                return Err(SpecError::value(
+                    "window",
+                    format!(
+                        "the {app} footprint of {words} words at window {} exceeds the \
+                         {capacity}-word SoC data memory",
+                        self.window
+                    ),
+                ));
             }
         }
         match self.trial_count() {
@@ -921,10 +1051,11 @@ impl Scenario {
 
     /// Serializes to the canonical pretty-printed spec document.
     pub fn to_json(&self) -> String {
-        self.to_json_value().pretty()
+        Json::Obj(self.fields()).pretty()
     }
 
-    fn to_json_value(&self) -> Json {
+    /// The canonical document's fields, in order.
+    fn fields(&self) -> Vec<(String, Json)> {
         let grid_values = match &self.grid {
             Grid::Voltage(v) => v.iter().map(|&x| Json::Num(x)).collect(),
             Grid::BitPosition(b) => b.iter().map(|&x| Json::Num(f64::from(x))).collect(),
@@ -963,21 +1094,7 @@ impl Scenario {
                     ("values".into(), Json::Arr(grid_values)),
                 ]),
             ),
-            (
-                "fault".into(),
-                Json::Obj(vec![
-                    ("nominal_v".into(), Json::Num(self.fault.nominal_v)),
-                    (
-                        "log10_ber_at_nominal".into(),
-                        Json::Num(self.fault.log10_ber_at_nominal),
-                    ),
-                    (
-                        "log10_slope_per_volt".into(),
-                        Json::Num(self.fault.log10_slope_per_volt),
-                    ),
-                    ("model".into(), self.fault.model.to_json_value()),
-                ]),
-            ),
+            ("fault".into(), self.fault.to_json_value()),
             ("fixed_voltage".into(), Json::Num(self.fixed_voltage)),
             ("noise_scale".into(), Json::Num(self.noise_scale)),
             (
@@ -993,20 +1110,7 @@ impl Scenario {
                 Json::Arr(self.ber_slopes.iter().map(|&s| Json::Num(s)).collect()),
             ),
             ("seed".into(), u64_json(self.seed)),
-            (
-                "sink".into(),
-                Json::Obj(vec![
-                    ("format".into(), Json::Str(self.sink.format.token().into())),
-                    (
-                        "out".into(),
-                        self.sink
-                            .out
-                            .as_ref()
-                            .map_or(Json::Null, |o| Json::Str(o.clone())),
-                    ),
-                    ("append".into(), Json::Bool(self.sink.append)),
-                ]),
-            ),
+            ("sink".into(), self.sink.to_json_value()),
         ];
         // Emitted only when nonzero so unsharded specs — every document
         // written before sharding existed — keep byte-identical JSON and
@@ -1014,314 +1118,225 @@ impl Scenario {
         if self.point_offset != 0 {
             fields.push(("point_offset".into(), Json::Num(self.point_offset as f64)));
         }
-        Json::Obj(fields)
+        fields
+    }
+
+    /// Every optional spec field at its default, the required ones empty:
+    /// the values a document without `extends` starts from, and the base
+    /// of every registry preset.
+    pub(crate) fn defaults() -> Scenario {
+        Scenario {
+            name: String::new(),
+            title: String::new(),
+            kind: Kind::SnrSweep,
+            window: 0,
+            records: 0,
+            trials: 0,
+            apps: Vec::new(),
+            emts: Vec::new(),
+            grid: Grid::Voltage(Vec::new()),
+            fault: FaultSpec::date16(),
+            fixed_voltage: BerModel::NOMINAL_VOLTAGE,
+            noise_scale: 1.0,
+            scrambler_key: None,
+            tolerance_db: None,
+            ber_slopes: Vec::new(),
+            seed: 0,
+            sink: SinkSpec::default(),
+            point_offset: 0,
+        }
     }
 
     /// Parses and validates a spec document.
     ///
-    /// A document may open with `"extends": "<preset>"` to inherit every
-    /// field from the registry's full-scale preset of that name and
-    /// override only what it restates — fault-model variants of `fig4`
-    /// need not repeat the whole spec. Without `extends`, the structural
-    /// fields (`name`, `kind`, `window`, `records`, `trials`, `apps`,
-    /// `emts`, `grid`, `seed`) are required, as before.
+    /// The document is laid over a base — the registry preset it
+    /// `"extends"`, or else the spec defaults, which leave `name`, `kind`,
+    /// `window`, `records`, `trials`, `apps`, `emts`, `grid` and `seed` to
+    /// the document. Each top-level key replaces the base's value, except
+    /// that `fault` and `sink` merge field by field. The merged document
+    /// is then read strictly, each field once, in document order.
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] describing the first malformed or missing
-    /// field (JSON syntax errors included).
+    /// Returns a [`SpecError`] for the first problem: a JSON syntax error,
+    /// an unknown field ([`SpecError::Value`] at its path), a missing or
+    /// mistyped field ([`SpecError::Field`] at its path), a rejected value,
+    /// or a failed [`Scenario::validate`].
     pub fn from_json(text: &str) -> Result<Scenario, SpecError> {
         let doc = Json::parse(text).map_err(|e| SpecError::Parse {
             message: e.to_string(),
         })?;
+        let mut sc = Scenario::defaults();
+        for (key, value) in &overlay(doc)? {
+            sc.read_field(key, value)?;
+        }
+        sc.validate()?;
+        Ok(sc)
+    }
 
-        let base: Option<Scenario> = match doc.get("extends") {
-            None => None,
-            Some(v) => {
-                let preset = v
-                    .as_str()
-                    .ok_or_else(|| SpecError::field("extends", "the name of a registry preset"))?;
-                Some(super::registry::get(preset, false)?)
+    /// Reads one top-level field of a merged spec document.
+    fn read_field(&mut self, key: &str, v: &Json) -> Result<(), SpecError> {
+        const COUNT: &str = "a non-negative integer";
+        const U64: &str = "an unsigned 64-bit integer";
+        match key {
+            "name" => self.name = typed(v, key, "a string", Json::as_str)?.to_string(),
+            "title" => self.title = typed(v, key, "a string", Json::as_str)?.to_string(),
+            "kind" => self.kind = token(v, key, "campaign kind", Kind::from_token)?,
+            "window" => self.window = typed(v, key, COUNT, Json::as_usize)?,
+            "records" => self.records = typed(v, key, COUNT, Json::as_usize)?,
+            "trials" => self.trials = typed(v, key, COUNT, Json::as_usize)?,
+            "apps" => self.apps = tokens(v, key, "app", app_from_token)?,
+            "emts" => self.emts = tokens(v, key, "emt", emt_from_token)?,
+            "grid" => self.grid = Grid::from_json(v)?,
+            "fault" => self.fault = FaultSpec::from_json(v)?,
+            "fixed_voltage" => self.fixed_voltage = typed(v, key, "a number", Json::as_f64)?,
+            "noise_scale" => self.noise_scale = typed(v, key, "a number", Json::as_f64)?,
+            "scrambler_key" => self.scrambler_key = nullable(v, key, U64, json_u64)?,
+            "tolerance_db" => self.tolerance_db = nullable(v, key, "a number", Json::as_f64)?,
+            "ber_slopes" => self.ber_slopes = numbers(v, key)?,
+            "seed" => self.seed = typed(v, key, U64, json_u64)?,
+            "sink" => self.sink = SinkSpec::from_json(v)?,
+            "point_offset" => self.point_offset = typed(v, key, COUNT, Json::as_usize)?,
+            _ => return Err(unknown_field(key)),
+        }
+        Ok(())
+    }
+}
+
+/// Fields a document without `extends` must set. Its base holds each as
+/// `null`, which none of them accepts, so a missing one fails the strict
+/// read at its own path.
+const REQUIRED: [&str; 9] = [
+    "name", "kind", "window", "records", "trials", "apps", "emts", "grid", "seed",
+];
+
+/// Lays a spec document over its base (see [`Scenario::from_json`]) and
+/// returns the merged fields, base order first.
+fn overlay(doc: Json) -> Result<Vec<(String, Json)>, SpecError> {
+    let Json::Obj(fields) = doc else {
+        return Err(SpecError::constraint(
+            "a spec document must be a JSON object",
+        ));
+    };
+    let mut merged = match fields.iter().find(|(k, _)| k == "extends") {
+        Some((_, preset)) => {
+            let preset = typed(
+                preset,
+                "extends",
+                "the name of a registry preset",
+                Json::as_str,
+            )?;
+            let base = super::registry::get(preset, false)?;
+            // A variant that overrides anything must name itself: artifacts
+            // are keyed by name, and a burst variant silently inheriting
+            // "fig4" would overwrite the genuine fig4 rows. A bare
+            // `{"extends": ...}` (no overrides) is the preset itself.
+            let overrides = fields.iter().any(|(k, _)| k != "extends");
+            if overrides && !fields.iter().any(|(k, _)| k == "name") {
+                return Err(SpecError::constraint(
+                    "spec documents that extend a preset and override fields must set \
+                     their own \"name\" (artifacts are keyed by it)",
+                ));
             }
-        };
-        // A variant that overrides anything must name itself: artifacts
-        // are keyed by name, and a burst variant silently inheriting
-        // "fig4" would overwrite the genuine fig4 rows. A bare
-        // `{"extends": ...}` (no overrides) is the preset itself, so the
-        // inherited name is correct there.
-        if base.is_some() && doc.get("name").is_none() {
-            if let Json::Obj(fields) = &doc {
-                if fields.iter().any(|(k, _)| k != "extends") {
-                    return Err(SpecError::constraint(
-                        "spec documents that extend a preset and override fields must set \
-                         their own \"name\" (artifacts are keyed by it)",
-                    ));
+            base.fields()
+        }
+        None => {
+            let mut base = Scenario::defaults().fields();
+            for (key, value) in &mut base {
+                if REQUIRED.contains(&key.as_str()) {
+                    *value = Json::Null;
                 }
+            }
+            base
+        }
+    };
+    for (key, value) in fields {
+        if key != "extends" {
+            lay(&mut merged, key, value);
+        }
+    }
+    Ok(merged)
+}
+
+/// Sets `key` in `fields` to `value` (appending a new key): an object laid
+/// over the `fault` or `sink` object merges into it one level deep, so
+/// `fault.model` still replaces wholesale.
+fn lay(fields: &mut Vec<(String, Json)>, key: String, value: Json) {
+    let Some((_, slot)) = fields.iter_mut().find(|(k, _)| *k == key) else {
+        fields.push((key, value));
+        return;
+    };
+    match (slot, value) {
+        (Json::Obj(base), Json::Obj(over)) if key == "fault" || key == "sink" => {
+            for (k, v) in over {
+                lay(base, k, v);
             }
         }
-
-        let name = match doc.get("name").and_then(Json::as_str) {
-            Some(s) => s.to_string(),
-            None => base
-                .as_ref()
-                .map(|b| b.name.clone())
-                .ok_or_else(|| SpecError::field("name", "a string"))?,
-        };
-        let title = match doc.get("title").and_then(Json::as_str) {
-            Some(s) => s.to_string(),
-            None => base.as_ref().map(|b| b.title.clone()).unwrap_or_default(),
-        };
-        let kind = match doc.get("kind").and_then(Json::as_str) {
-            Some(token) => Kind::from_token(token)
-                .ok_or_else(|| SpecError::value("kind", format!("unknown kind {token:?}")))?,
-            None => base
-                .as_ref()
-                .map(|b| b.kind)
-                .ok_or_else(|| SpecError::field("kind", "a string campaign kind"))?,
-        };
-        let usize_field = |key: &str, inherited: Option<usize>| -> Result<usize, SpecError> {
-            match doc.get(key) {
-                Some(v) => v
-                    .as_usize()
-                    .ok_or_else(|| SpecError::field(key, "a non-negative integer")),
-                None => inherited.ok_or_else(|| SpecError::field(key, "a non-negative integer")),
-            }
-        };
-        let window = usize_field("window", base.as_ref().map(|b| b.window))?;
-        let records = usize_field("records", base.as_ref().map(|b| b.records))?;
-        let trials = usize_field("trials", base.as_ref().map(|b| b.trials))?;
-
-        let apps = match doc.get("apps") {
-            None => base
-                .as_ref()
-                .map(|b| b.apps.clone())
-                .ok_or_else(|| SpecError::field("apps", "an array of app tokens"))?,
-            Some(v) => v
-                .as_arr()
-                .ok_or_else(|| SpecError::field("apps", "an array of app tokens"))?
-                .iter()
-                .map(|v| {
-                    let token = v
-                        .as_str()
-                        .ok_or_else(|| SpecError::value("apps", "entries must be strings"))?;
-                    app_from_token(token)
-                        .ok_or_else(|| SpecError::value("apps", format!("unknown app {token:?}")))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let emts = match doc.get("emts") {
-            None => base
-                .as_ref()
-                .map(|b| b.emts.clone())
-                .ok_or_else(|| SpecError::field("emts", "an array of EMT tokens"))?,
-            Some(v) => v
-                .as_arr()
-                .ok_or_else(|| SpecError::field("emts", "an array of EMT tokens"))?
-                .iter()
-                .map(|v| {
-                    let token = v
-                        .as_str()
-                        .ok_or_else(|| SpecError::value("emts", "entries must be strings"))?;
-                    emt_from_token(token)
-                        .ok_or_else(|| SpecError::value("emts", format!("unknown emt {token:?}")))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-
-        let grid = match doc.get("grid") {
-            None => base
-                .as_ref()
-                .map(|b| b.grid.clone())
-                .ok_or_else(|| SpecError::field("grid", "an object with \"axis\"/\"values\""))?,
-            Some(grid_obj) => {
-                let axis = grid_obj
-                    .get("axis")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| SpecError::field("grid.axis", "a string axis token"))?;
-                let values = grid_obj
-                    .get("values")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| SpecError::field("grid.values", "an array of numbers"))?;
-                let nums = values
-                    .iter()
-                    .map(|v| {
-                        v.as_f64()
-                            .ok_or_else(|| SpecError::value("grid.values", "must be numbers"))
-                    })
-                    .collect::<Result<Vec<f64>, _>>()?;
-                match axis {
-                    "voltage" => Grid::Voltage(nums),
-                    "noise" => Grid::NoiseScale(nums),
-                    "bit" => Grid::BitPosition(
-                        nums.iter()
-                            .map(|&n| {
-                                if n >= 0.0 && n.fract() == 0.0 && n < 32.0 {
-                                    Ok(n as u32)
-                                } else {
-                                    Err(SpecError::value(
-                                        "grid.values",
-                                        format!("bit position {n} must be a small integer"),
-                                    ))
-                                }
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                    ),
-                    "words" => Grid::MemoryWords(
-                        nums.iter()
-                            .map(|&n| {
-                                if n >= 1.0 && n.fract() == 0.0 {
-                                    Ok(n as usize)
-                                } else {
-                                    Err(SpecError::value(
-                                        "grid.values",
-                                        format!("memory size {n} must be a positive integer"),
-                                    ))
-                                }
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                    ),
-                    other => {
-                        return Err(SpecError::value(
-                            "grid.axis",
-                            format!("unknown grid axis {other:?}"),
-                        ))
-                    }
-                }
-            }
-        };
-
-        let fault = match doc.get("fault") {
-            None => base
-                .as_ref()
-                .map(|b| b.fault.clone())
-                .unwrap_or_else(FaultSpec::date16),
-            Some(obj) => {
-                let inherited = base.as_ref().map(|b| b.fault.clone());
-                let num = |key: &str, inherited: Option<f64>| -> Result<f64, SpecError> {
-                    let missing = || SpecError::field(format!("fault.{key}"), "a number");
-                    match obj.get(key) {
-                        Some(v) => v.as_f64().ok_or_else(missing),
-                        None => inherited.ok_or_else(missing),
-                    }
-                };
-                FaultSpec {
-                    nominal_v: num("nominal_v", inherited.as_ref().map(|f| f.nominal_v))?,
-                    log10_ber_at_nominal: num(
-                        "log10_ber_at_nominal",
-                        inherited.as_ref().map(|f| f.log10_ber_at_nominal),
-                    )?,
-                    log10_slope_per_volt: num(
-                        "log10_slope_per_volt",
-                        inherited.as_ref().map(|f| f.log10_slope_per_volt),
-                    )?,
-                    model: match obj.get("model") {
-                        Some(m) => FaultModelSpec::from_json(m)?,
-                        None => inherited.map(|f| f.model).unwrap_or_default(),
-                    },
-                }
-            }
-        };
-        let sink = match doc.get("sink") {
-            None => base.as_ref().map(|b| b.sink.clone()).unwrap_or_default(),
-            Some(obj) => {
-                let inherited = base.as_ref().map(|b| b.sink.clone()).unwrap_or_default();
-                let format = match obj.get("format").and_then(Json::as_str) {
-                    Some(token) => SinkFormat::from_token(token).ok_or_else(|| {
-                        SpecError::value("sink.format", format!("unknown sink format {token:?}"))
-                    })?,
-                    None => inherited.format,
-                };
-                let out = match obj.get("out") {
-                    None => inherited.out,
-                    Some(Json::Null) => None,
-                    Some(v) => Some(
-                        v.as_str()
-                            .ok_or_else(|| SpecError::field("sink.out", "a string or null"))?
-                            .to_string(),
-                    ),
-                };
-                let append = match obj.get("append") {
-                    None => inherited.append,
-                    Some(v) => v
-                        .as_bool()
-                        .ok_or_else(|| SpecError::field("sink.append", "a boolean"))?,
-                };
-                SinkSpec {
-                    format,
-                    out,
-                    append,
-                }
-            }
-        };
-
-        let scenario = Scenario {
-            name,
-            title,
-            kind,
-            window,
-            records,
-            trials,
-            apps,
-            emts,
-            grid,
-            fault,
-            fixed_voltage: match doc.get("fixed_voltage").and_then(Json::as_f64) {
-                Some(v) => v,
-                None => base
-                    .as_ref()
-                    .map_or(BerModel::NOMINAL_VOLTAGE, |b| b.fixed_voltage),
-            },
-            noise_scale: match doc.get("noise_scale").and_then(Json::as_f64) {
-                Some(v) => v,
-                None => base.as_ref().map_or(1.0, |b| b.noise_scale),
-            },
-            scrambler_key: match doc.get("scrambler_key") {
-                None => base.as_ref().and_then(|b| b.scrambler_key),
-                Some(Json::Null) => None,
-                Some(v) => Some(json_u64(v).ok_or_else(|| {
-                    SpecError::field("scrambler_key", "an unsigned 64-bit integer or null")
-                })?),
-            },
-            tolerance_db: match doc.get("tolerance_db") {
-                None => base.as_ref().and_then(|b| b.tolerance_db),
-                Some(Json::Null) => None,
-                Some(v) => Some(
-                    v.as_f64()
-                        .ok_or_else(|| SpecError::field("tolerance_db", "a number or null"))?,
-                ),
-            },
-            ber_slopes: match doc.get("ber_slopes").and_then(Json::as_arr) {
-                None => base
-                    .as_ref()
-                    .map(|b| b.ber_slopes.clone())
-                    .unwrap_or_default(),
-                Some(items) => items
-                    .iter()
-                    .map(|v| {
-                        v.as_f64()
-                            .ok_or_else(|| SpecError::value("ber_slopes", "must be numbers"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            },
-            seed: match doc.get("seed") {
-                Some(v) => json_u64(v)
-                    .ok_or_else(|| SpecError::field("seed", "an unsigned 64-bit integer"))?,
-                None => base
-                    .as_ref()
-                    .map(|b| b.seed)
-                    .ok_or_else(|| SpecError::field("seed", "an unsigned 64-bit integer"))?,
-            },
-            sink,
-            point_offset: match doc.get("point_offset") {
-                None => base.as_ref().map_or(0, |b| b.point_offset),
-                Some(v) => v
-                    .as_usize()
-                    .ok_or_else(|| SpecError::field("point_offset", "a non-negative integer"))?,
-            },
-        };
-        scenario.validate()?;
-        Ok(scenario)
+        (slot, value) => *slot = value,
     }
+}
+
+/// `read(value)`, or a [`SpecError::Field`] at `path` saying what the
+/// field must hold.
+fn typed<'a, T>(
+    value: &'a Json,
+    path: &str,
+    expected: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, SpecError> {
+    read(value).ok_or_else(|| SpecError::field(path, expected))
+}
+
+/// A string token `parse` knows: a non-string is a [`SpecError::Field`],
+/// an unknown token a [`SpecError::Value`].
+fn token<T>(
+    value: &Json,
+    path: &str,
+    what: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, SpecError> {
+    let token = typed(value, path, &format!("a string {what}"), Json::as_str)?;
+    parse(token).ok_or_else(|| SpecError::value(path, format!("unknown {what} {token:?}")))
+}
+
+/// An array of string tokens `parse` knows.
+fn tokens<T>(
+    value: &Json,
+    path: &str,
+    what: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, SpecError> {
+    let expected = format!("an array of {what} tokens");
+    typed(value, path, &expected, Json::as_arr)?
+        .iter()
+        .map(|e| token(e, path, what, &parse))
+        .collect()
+}
+
+/// An array of numbers.
+fn numbers(value: &Json, path: &str) -> Result<Vec<f64>, SpecError> {
+    let expected = "an array of numbers";
+    typed(value, path, expected, Json::as_arr)?
+        .iter()
+        .map(|e| typed(e, path, expected, Json::as_f64))
+        .collect()
+}
+
+/// `null`, or `read(value)` (else a [`SpecError::Field`] at `path`).
+fn nullable<'a, T>(
+    value: &'a Json,
+    path: &str,
+    expected: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, SpecError> {
+    match value {
+        Json::Null => Ok(None),
+        value => typed(value, path, &format!("{expected} or null"), read).map(Some),
+    }
+}
+
+fn unknown_field(path: impl Into<String>) -> SpecError {
+    SpecError::value(path, "unknown field")
 }
 
 /// Serializes a `u64` losslessly: as a JSON number when `f64` can carry

@@ -10,18 +10,20 @@ use dream_dsp::AppKind;
 use crate::energy_table::EnergyRow;
 use crate::fig4::{curve, Fig4Point};
 
-/// Energy of the 0.9 V unprotected baseline every §VI-C saving is priced
-/// against (pJ) — shared by [`explore`] and [`mixed_policy`], which used
-/// to each re-derive it.
+/// Energy of the unprotected baseline at the calibration's nominal
+/// voltage `nominal_v` — the reference every §VI-C saving is priced
+/// against (pJ), shared by [`explore`] and [`mixed_policy`].
 ///
 /// # Panics
 ///
-/// Panics if the energy table lacks the 0.9 V unprotected row.
-fn nominal_baseline_pj(energy: &[EnergyRow]) -> f64 {
+/// Panics if the energy table lacks the unprotected row at `nominal_v`.
+fn nominal_baseline_pj(energy: &[EnergyRow], nominal_v: f64) -> f64 {
     energy
         .iter()
-        .find(|r| r.emt == EmtKind::None && (r.voltage - 0.9).abs() < 1e-9)
-        .expect("energy table must include the 0.9 V unprotected baseline")
+        .find(|r| r.emt == EmtKind::None && (r.voltage - nominal_v).abs() < 1e-9)
+        .unwrap_or_else(|| {
+            panic!("energy table must include the {nominal_v} V unprotected baseline")
+        })
         .energy
         .total_pj()
 }
@@ -35,7 +37,7 @@ pub struct TradeoffPolicy {
     pub emt: EmtKind,
     /// Lowest admissible supply voltage (V); `None` if even nominal fails.
     pub min_voltage: Option<f64>,
-    /// Energy savings versus the 0.9 V unprotected baseline (fraction;
+    /// Energy savings versus the nominal-voltage unprotected baseline (fraction;
     /// `0.30` = 30 % less energy), at `min_voltage`.
     pub savings_vs_nominal: Option<f64>,
 }
@@ -44,7 +46,7 @@ pub struct TradeoffPolicy {
 /// the energy table, find for each EMT the lowest voltage at which the
 /// mean SNR has dropped by at most `tolerance_db` from that EMT's ceiling
 /// (its SNR at nominal voltage), then price the energy savings against
-/// running unprotected at 0.9 V.
+/// running unprotected at `nominal_v` (0.9 V in the paper).
 ///
 /// The paper instantiates this with the DWT application and a −1 dB
 /// tolerance, obtaining three regimes: no protection down to ~0.85 V,
@@ -52,14 +54,16 @@ pub struct TradeoffPolicy {
 ///
 /// # Panics
 ///
-/// Panics if the inputs do not contain the 0.9 V unprotected baseline.
+/// Panics if the inputs do not contain the unprotected baseline at
+/// `nominal_v`.
 pub fn explore(
     app: AppKind,
     tolerance_db: f64,
+    nominal_v: f64,
     fig4: &[Fig4Point],
     energy: &[EnergyRow],
 ) -> Vec<TradeoffPolicy> {
-    let baseline_energy = nominal_baseline_pj(energy);
+    let baseline_energy = nominal_baseline_pj(energy, nominal_v);
     let emts: Vec<EmtKind> = {
         let mut seen = Vec::new();
         for p in fig4 {
@@ -112,7 +116,7 @@ pub struct PolicyBand {
     pub best_emt: Option<EmtKind>,
     /// Energy per run of the chosen EMT (pJ); `None` when nothing passes.
     pub energy_pj: Option<f64>,
-    /// Savings versus 0.9 V unprotected when operating here.
+    /// Savings versus nominal-voltage unprotected when operating here.
     pub savings_vs_nominal: Option<f64>,
 }
 
@@ -128,15 +132,17 @@ pub struct PolicyBand {
 ///
 /// # Panics
 ///
-/// Panics if the energy table lacks the 0.9 V unprotected baseline.
+/// Panics if the energy table lacks the unprotected baseline at
+/// `nominal_v`.
 pub fn mixed_policy(
     app: AppKind,
     tolerance_db: f64,
+    nominal_v: f64,
     fig4: &[Fig4Point],
     energy: &[EnergyRow],
 ) -> Vec<PolicyBand> {
-    let baseline = nominal_baseline_pj(energy);
-    let policies = explore(app, tolerance_db, fig4, energy);
+    let baseline = nominal_baseline_pj(energy, nominal_v);
+    let policies = explore(app, tolerance_db, nominal_v, fig4, energy);
     let mut voltages: Vec<f64> = fig4
         .iter()
         .filter(|p| p.app == app)
@@ -230,7 +236,7 @@ mod tests {
     #[test]
     fn reproduces_three_regimes() {
         let (fig4, energy) = synthetic_inputs();
-        let policies = explore(AppKind::Dwt, 1.0, &fig4, &energy);
+        let policies = explore(AppKind::Dwt, 1.0, 0.9, &fig4, &energy);
         let find = |emt: EmtKind| policies.iter().find(|p| p.emt == emt).unwrap();
         assert_eq!(find(EmtKind::None).min_voltage, Some(0.85));
         assert_eq!(find(EmtKind::Dream).min_voltage, Some(0.65));
@@ -240,7 +246,7 @@ mod tests {
     #[test]
     fn savings_match_hand_computation() {
         let (fig4, energy) = synthetic_inputs();
-        let policies = explore(AppKind::Dwt, 1.0, &fig4, &energy);
+        let policies = explore(AppKind::Dwt, 1.0, 0.9, &fig4, &energy);
         let none = policies.iter().find(|p| p.emt == EmtKind::None).unwrap();
         // 1 - (0.85/0.9)^2 = 0.1080...
         assert!((none.savings_vs_nominal.unwrap() - 0.108).abs() < 1e-3);
@@ -258,7 +264,7 @@ mod tests {
     #[test]
     fn mixed_policy_selects_cheapest_usable_emt() {
         let (fig4, energy) = synthetic_inputs();
-        let bands = mixed_policy(AppKind::Dwt, 1.0, &fig4, &energy);
+        let bands = mixed_policy(AppKind::Dwt, 1.0, 0.9, &fig4, &energy);
         let at = |v: f64| {
             bands
                 .iter()
@@ -301,7 +307,7 @@ mod tests {
             .iter()
             .map(|&v| energy_row(EmtKind::None, v, 100.0 * v * v))
             .collect();
-        let policies = explore(AppKind::Dwt, 1.0, &fig4, &energy);
+        let policies = explore(AppKind::Dwt, 1.0, 0.9, &fig4, &energy);
         assert_eq!(policies[0].min_voltage, Some(0.85));
     }
 }

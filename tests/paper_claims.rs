@@ -190,7 +190,7 @@ fn claim_tradeoff_regimes() {
         window: 512,
         ..Default::default()
     });
-    let policies = explore(AppKind::Dwt, 1.0, &points, &energy);
+    let policies = explore(AppKind::Dwt, 1.0, 0.9, &points, &energy);
     let min_v = |emt: EmtKind| {
         policies
             .iter()

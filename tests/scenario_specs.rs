@@ -5,7 +5,8 @@
 
 use dream_suite::sim::report::{CsvSink, JsonlSink, Sink, TableSink};
 use dream_suite::sim::scenario::{
-    registry, CampaignRunner, EngineError, FaultModelSpec, Grid, Scenario, ScenarioOutcome,
+    registry, CampaignRunner, EngineError, FaultModelSpec, FaultSpec, Grid, Scenario,
+    ScenarioOutcome, SinkFormat, SpecError,
 };
 
 /// These tests drive campaigns the way every current caller does — through
@@ -220,4 +221,62 @@ fn append_jsonl_sink_accumulates_rows_across_runs() {
     );
     bad.sink.out = Some(dir.display().to_string());
     bad.validate().expect("append+jsonl+out is valid");
+}
+
+#[test]
+fn mistyped_and_unknown_fields_are_errors_at_their_path_never_the_preset_value() {
+    // Each override once fell back silently to the preset's value.
+    for (body, path) in [
+        (r#"{"extends":"fig4","name":"k","kind":7}"#, "kind"),
+        (r#"{"extends":"fig4","name":"t","title":false}"#, "title"),
+        (
+            r#"{"extends":"noise-sweep","name":"n","noise_scale":"2"}"#,
+            "noise_scale",
+        ),
+        (
+            r#"{"extends":"ablation","name":"b","ber_slopes":12}"#,
+            "ber_slopes",
+        ),
+        (
+            r#"{"extends":"fig4","name":"s","sink":{"format":5}}"#,
+            "sink.format",
+        ),
+        (r#"{"extends":"fig4","name":"ty","trails":5}"#, "trails"),
+        (
+            r#"{"extends":"fig4","name":"f","fault":{"nominal":0.8}}"#,
+            "fault.nominal",
+        ),
+    ] {
+        let err = Scenario::from_json(body).expect_err(body);
+        assert_eq!(err.path(), Some(path), "{body}: {err}");
+        let typo = path == "trails" || path == "fault.nominal";
+        assert_eq!(
+            matches!(err, SpecError::Value { .. }),
+            typo,
+            "{body}: unknown fields are Value errors, mistyped ones Field errors: {err:?}"
+        );
+    }
+}
+
+#[test]
+fn a_partial_fault_without_extends_merges_onto_the_date16_calibration() {
+    let sc = Scenario::from_json(
+        r#"{"name":"p","kind":"snr-sweep","window":512,"records":1,"trials":1,
+            "apps":["dwt"],"emts":["none"],"grid":{"axis":"voltage","values":[0.6]},
+            "seed":1,"fault":{"model":{"kind":"burst","mean_run_len":4}},
+            "sink":{"format":"jsonl"}}"#,
+    )
+    .expect("partial fault and sink objects parse");
+    let date16 = FaultSpec::date16();
+    assert_eq!(sc.fault.nominal_v, date16.nominal_v);
+    assert_eq!(sc.fault.log10_ber_at_nominal, date16.log10_ber_at_nominal);
+    assert_eq!(sc.fault.log10_slope_per_volt, date16.log10_slope_per_volt);
+    assert_eq!(sc.fault.model, FaultModelSpec::Burst { mean_run_len: 4.0 });
+    assert_eq!(sc.sink.format, SinkFormat::Jsonl);
+    assert_eq!(sc.sink.out, None);
+    // The optional fields take their defaults; a missing required one
+    // fails at its own path.
+    assert_eq!((sc.noise_scale, sc.fixed_voltage), (1.0, 0.9));
+    let err = Scenario::from_json(r#"{"name":"p","kind":"snr-sweep"}"#).unwrap_err();
+    assert_eq!(err.path(), Some("window"), "{err}");
 }

@@ -267,3 +267,87 @@ fn oversized_specs_get_a_400_and_the_server_survives() {
     let health = client_request(&addr, "GET", "/healthz", b"").expect("GET /healthz");
     assert_eq!(health.status, 200);
 }
+
+/// Extracts the JSON error message a 400 carries.
+fn error_of(response: dream_suite::serve::http::Response) -> String {
+    assert_eq!(response.status, 400);
+    String::from_utf8(response.body).expect("error body is UTF-8")
+}
+
+#[test]
+fn a_mistyped_override_is_a_400_not_a_cache_hit() {
+    let addr = boot(temp_store("strict"));
+    let base = r#"{"extends":"noise-sweep","name":"ns-b","window":512,"records":1,"trials":1"#;
+    let first =
+        client_request(&addr, "POST", "/campaigns", format!("{base}}}").as_bytes()).expect("POST");
+    assert_eq!(first.status, 200);
+    assert_eq!(first.header("x-dream-cache"), Some("miss"));
+    // The same spec with a string noise scale once replayed the
+    // noise-scale-1 rows above as a cache hit.
+    let mistyped = format!(r#"{base},"noise_scale":"2"}}"#);
+    let message =
+        error_of(client_request(&addr, "POST", "/campaigns", mistyped.as_bytes()).expect("POST"));
+    assert!(message.contains("noise_scale"), "{message}");
+    let typo = br#"{"extends":"fig4","name":"ty","trails":5}"#;
+    let message = error_of(client_request(&addr, "POST", "/campaigns", typo).expect("POST"));
+    assert!(message.contains("trails"), "{message}");
+}
+
+#[test]
+fn specs_that_once_panicked_a_worker_get_a_400_and_the_service_keeps_serving() {
+    // One worker: each of these bodies used to kill it, leaving the
+    // campaign "running" forever and poisoning the campaign map.
+    let addr = boot_existing_dir(temp_store("panics"));
+    for (body, cause) in [
+        (
+            r#"{"extends":"fig4","name":"neg","trials":2,"records":1,"fault":{"log10_slope_per_volt":-5}}"#,
+            "log10_slope_per_volt",
+        ),
+        (
+            r#"{"extends":"fig2","name":"w300","window":300,"records":1,"trials":1}"#,
+            "multiple of 32",
+        ),
+        (
+            r#"{"extends":"fig2","name":"w320","window":320,"records":1,"trials":1}"#,
+            "at least 360",
+        ),
+        (
+            r#"{"extends":"energy","name":"big","window":4096,"records":1,"trials":1}"#,
+            "SoC data memory",
+        ),
+        (
+            r#"{"extends":"tradeoff","name":"big","window":4096,"records":1,"trials":1}"#,
+            "SoC data memory",
+        ),
+        (
+            r#"{"extends":"ablation","name":"big","window":4096,"records":1,"trials":1}"#,
+            "SoC data memory",
+        ),
+    ] {
+        let message =
+            error_of(client_request(&addr, "POST", "/campaigns", body.as_bytes()).expect("POST"));
+        assert!(message.contains(cause), "{body}: {message}");
+    }
+    let health = client_request(&addr, "GET", "/healthz", b"").expect("GET /healthz");
+    let health = String::from_utf8(health.body).unwrap();
+    assert!(health.contains("\"running\": 0"), "{health}");
+
+    // A tradeoff whose calibration is nominal at 0.8 V prices its savings
+    // there instead of panicking on a missing 0.9 V baseline.
+    let t08 = r#"{"extends":"tradeoff","name":"t08","window":512,"records":1,"trials":1,"grid":{"axis":"voltage","values":[0.7,0.8]},"fault":{"nominal_v":0.8}}"#;
+    let response = client_request(&addr, "POST", "/campaigns", t08.as_bytes()).expect("POST");
+    assert_eq!(response.status, 200);
+    let rows = String::from_utf8(response.body).unwrap();
+    assert_eq!(rows.lines().count(), 3, "{rows}");
+    assert!(rows.contains("\"min_voltage\": 0.70"), "{rows}");
+
+    // And a valid campaign still streams byte-identical rows.
+    let sc = smoke_spec();
+    let response =
+        client_request(&addr, "POST", "/campaigns", sc.to_json().as_bytes()).expect("POST");
+    assert_eq!(response.status, 200);
+    assert_eq!(
+        String::from_utf8(response.body).unwrap(),
+        reference_jsonl(&sc)
+    );
+}
